@@ -27,6 +27,10 @@ type t = {
   net : Network.t;
   faults : (int, Fault.t) Hashtbl.t;
   traps : (trap_key, int) Hashtbl.t; (* -> probe id *)
+  trap_keys : (int, trap_key list) Hashtbl.t;
+      (* probe id -> keys it installed since its last removal; a key
+         another probe has since overwritten may linger here and is
+         skipped on removal *)
   clk : Clock.t;
   counters : (int, int) Hashtbl.t; (* entry -> packets processed *)
   counters_m : Mutex.t; (* injects may run concurrently (Runner) *)
@@ -43,6 +47,7 @@ let create net =
     net;
     faults = Hashtbl.create 64;
     traps = Hashtbl.create 64;
+    trap_keys = Hashtbl.create 64;
     clk = Clock.create ();
     counters = Hashtbl.create 256;
     counters_m = Mutex.create ();
@@ -83,17 +88,26 @@ let trap_key ~switch ~rule ~header =
   { t_switch = switch; t_rule = rule; t_header = Header.to_string header }
 
 let install_trap t ~probe ~switch ~rule ~header =
-  Hashtbl.replace t.traps (trap_key ~switch ~rule ~header) probe
+  let key = trap_key ~switch ~rule ~header in
+  if Hashtbl.find_opt t.traps key <> Some probe then begin
+    Hashtbl.replace t.traps key probe;
+    let keys = Option.value ~default:[] (Hashtbl.find_opt t.trap_keys probe) in
+    Hashtbl.replace t.trap_keys probe (key :: keys)
+  end
 
 let remove_probe_traps t ~probe =
-  let keys =
-    (* sdncheck: allow D001 — every collected key is removed; the
-       removal set is order-free *)
-    Hashtbl.fold (fun k p acc -> if p = probe then k :: acc else acc) t.traps []
-  in
-  List.iter (Hashtbl.remove t.traps) keys
+  match Hashtbl.find_opt t.trap_keys probe with
+  | None -> ()
+  | Some keys ->
+      Hashtbl.remove t.trap_keys probe;
+      List.iter
+        (fun key ->
+          if Hashtbl.find_opt t.traps key = Some probe then Hashtbl.remove t.traps key)
+        keys
 
-let clear_traps t = Hashtbl.reset t.traps
+let clear_traps t =
+  Hashtbl.reset t.traps;
+  Hashtbl.reset t.trap_keys
 
 let flow_count t ~entry =
   Mutex.lock t.counters_m;

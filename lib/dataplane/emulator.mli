@@ -85,11 +85,17 @@ val faulty_switches : t -> int list
 
 val install_trap : t -> probe:int -> switch:int -> rule:int -> header:Hspace.Header.t -> unit
 (** Register a return trap. Replaces any trap with the same
-    [(switch, rule, header)] key. *)
+    [(switch, rule, header)] key: the last install wins. *)
 
 val remove_probe_traps : t -> probe:int -> unit
+(** Drop every trap currently mapped to [probe]. A key that another
+    probe has since overwritten keeps that probe's trap; an unknown
+    [probe] is a no-op. Costs O(traps [probe] installed since its last
+    removal), independent of how many other traps are installed. *)
 
 val clear_traps : t -> unit
+(** Drop every trap of every probe, resetting the emulator's trap state
+    to that of {!create}. *)
 
 val inject : ?now_us:int -> t -> at:int -> Hspace.Header.t -> result
 (** Hand a packet to switch [at] for processing and follow it to its

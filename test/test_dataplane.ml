@@ -163,6 +163,87 @@ let test_trap_returns () =
   | Emu.Delivered _ -> ()
   | _ -> Alcotest.fail "expected delivery after trap removal"
 
+(* The trap a header meets at r_c of chain3: [Some probe] or delivery. *)
+let trapped_by emu header =
+  match (Emu.inject emu ~at:0 header).Emu.outcome with
+  | Emu.Returned { probe; _ } -> Some probe
+  | Emu.Delivered _ -> None
+  | _ -> Alcotest.fail "expected a return or a delivery"
+
+let test_trap_overwrite () =
+  let { Fixtures.cnet; r_c; _ } = Fixtures.chain3 () in
+  let emu = Emu.create cnet in
+  let hdr = h "10000001" in
+  let install probe = Emu.install_trap emu ~probe ~switch:2 ~rule:r_c.FE.id ~header:hdr in
+  let check msg expected = Alcotest.(check (option int)) msg expected (trapped_by emu hdr) in
+  install 1;
+  install 2;
+  check "last install wins" (Some 2);
+  Emu.remove_probe_traps emu ~probe:1;
+  check "removing the overwritten probe keeps the overwriter" (Some 2);
+  Emu.remove_probe_traps emu ~probe:2;
+  check "removing the owner frees the key" None;
+  install 3;
+  Emu.remove_probe_traps emu ~probe:99;
+  check "removing an unknown probe is a no-op" (Some 3);
+  Emu.clear_traps emu;
+  Emu.remove_probe_traps emu ~probe:3;
+  check "remove after clear is a no-op" None;
+  install 3;
+  check "re-installing after removal traps again" (Some 3);
+  Emu.remove_probe_traps emu ~probe:3;
+  check "and removes again" None
+
+(* Model-based: random install/remove/clear sequences over 5 probe ids
+   and 3 headers that all reach r_c, so keys collide often, checked
+   after every step against an association list with the table-scan
+   semantics (last install wins; removal drops exactly the keys still
+   mapped to the probe). *)
+type trap_op = Install of int * int | Remove of int | Clear
+
+let trap_pool = [| h "10000001"; h "10000010"; h "11000000" |]
+
+let arb_trap_ops =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun p i -> Install (p, i)) (int_bound 4) (int_bound 2));
+          (3, map (fun p -> Remove p) (int_bound 4));
+          (1, return Clear);
+        ])
+  in
+  let print = function
+    | Install (p, i) -> Printf.sprintf "install %d %s" p (Header.to_string trap_pool.(i))
+    | Remove p -> Printf.sprintf "remove %d" p
+    | Clear -> "clear"
+  in
+  QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 1 40) op)
+
+let test_trap_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"trap index = table-scan model" ~count:300 arb_trap_ops
+       (fun ops ->
+         let { Fixtures.cnet; r_c; _ } = Fixtures.chain3 () in
+         let emu = Emu.create cnet in
+         let model = ref [] in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Install (probe, i) ->
+                 Emu.install_trap emu ~probe ~switch:2 ~rule:r_c.FE.id ~header:trap_pool.(i);
+                 model := (i, probe) :: List.remove_assoc i !model
+             | Remove probe ->
+                 Emu.remove_probe_traps emu ~probe;
+                 model := List.filter (fun (_, p) -> p <> probe) !model
+             | Clear ->
+                 Emu.clear_traps emu;
+                 model := []);
+             List.for_all
+               (fun i -> trapped_by emu trap_pool.(i) = List.assoc_opt i !model)
+               [ 0; 1; 2 ])
+           ops))
+
 let test_trap_wrong_rule () =
   (* A trap keyed on rule r does not fire when a different rule matches
      (models §VI: only the duplicated rule's action becomes goto). *)
@@ -351,6 +432,8 @@ let () =
       ( "traps",
         [
           Alcotest.test_case "returns" `Quick test_trap_returns;
+          Alcotest.test_case "overwrite" `Quick test_trap_overwrite;
+          test_trap_model;
           Alcotest.test_case "wrong rule" `Quick test_trap_wrong_rule;
           Alcotest.test_case "mid path" `Quick test_trap_mid_path;
         ] );
