@@ -162,8 +162,8 @@ let plan_full w () = ignore (Pipeline.create w.net)
    [plan_edit_pairs] remove-then-reinstall pairs pushed through one
    long-lived session with [Pipeline.apply] (steady state: the session
    and its caches persist across runs). Reported ns is per edit op
-   (two ops per pair) — the number scripts/check_plan_ratio.py
-   compares against plan.full. *)
+   (two ops per pair) — the number the RATIOS table in
+   scripts/compare_bench.py compares against plan.full. *)
 let plan_edit_pairs = 4
 
 let plan_edit w =
@@ -214,8 +214,8 @@ let verify_check w () =
 (* Amortized per-edit incremental re-verification: [edits_per_run]
    remove-then-reinstall cycles, each followed by a full re-check
    through Engine.update's patch path. Reported ns is per edit (two
-   edits per cycle), the number scripts/check_verify_ratio.py compares
-   against verify.closure. *)
+   edits per cycle), the number the RATIOS table in
+   scripts/compare_bench.py compares against verify.closure. *)
 let verify_edits_per_run = 4
 
 let verify_edit w =
@@ -282,8 +282,8 @@ let micro_tests () =
    structural build alone (partition + per-region graphs/covers +
    stitching, no header assignment): the piece with a 1000-switch
    completion gate. shard.plan is the full sharded pipeline, probes
-   included — scripts/check_shard_ratio.py holds it to >= 2x over the
-   flat plan.full at 200 switches. *)
+   included — the RATIOS table in scripts/compare_bench.py holds it to
+   >= 2x over the flat plan.full at 200 switches. *)
 let large_scale_entries scale =
   let _, net = Topogen.Preset.scale ~n_switches:scale in
   let runs = 2 in

@@ -243,9 +243,7 @@ let plan_cmd =
       let plan =
         match static_session with
         | Some s -> Pipeline.plan s
-        | None ->
-            (Sdnprobe.Plan.generate [@alert "-deprecated"]) ?pool
-              ~mode:(Sdnprobe.Plan.Randomized (Sdn_util.Prng.create seed)) net
+        | None -> Sdnprobe.Plan.randomized ?pool (Sdn_util.Prng.create seed) net
       in
       if not (delta && json) then begin
         Format.printf "%a@." Openflow.Network.pp_summary net;
@@ -1018,8 +1016,7 @@ let certify_cmd =
     in
     match
       if randomized then
-        (Sdnprobe.Plan.generate [@alert "-deprecated"]) ?pool:(env_pool ())
-          ~mode:(Sdnprobe.Plan.Randomized (Sdn_util.Prng.create seed)) net
+        Sdnprobe.Plan.randomized ?pool:(env_pool ()) (Sdn_util.Prng.create seed) net
       else Pipeline.plan (Pipeline.create ?pool:(env_pool ()) net)
     with
     | exception Rulegraph.Rule_graph.Cyclic_policy loop ->

@@ -45,15 +45,14 @@ let () =
   Format.printf "colluders: switch %d (rule %d) tunnels to switch %d@."
     compromised.FE.switch compromised.FE.id peer;
 
-  let hunt name mode =
+  let hunt name plan =
     let emulator = Emu.create net in
     Emu.set_fault emulator ~entry:compromised.FE.id (Fault.make (Fault.Detour peer));
     let config = Sdnprobe.Config.make ~max_rounds:500 () in
     let report =
       Runner.execute
         ~stop:(Runner.stop_when_flagged [ compromised.FE.switch ])
-        ~config ~emulator
-        ((Sdnprobe.Plan.generate [@alert "-deprecated"]) ~mode net)
+        ~config ~emulator plan
     in
     let found = List.mem compromised.FE.switch (Report.flagged_switches report) in
     Format.printf "%s: %s (rounds %d, %.1fs virtual)@." name
@@ -61,9 +60,9 @@ let () =
       report.Report.rounds report.Report.duration_s;
     found
   in
-  let static_found = hunt "static SDNProbe   " Sdnprobe.Plan.Static in
+  let static_found = hunt "static SDNProbe   " (Pipeline.plan (Pipeline.create net)) in
   let randomized_found =
-    hunt "randomized SDNProbe" (Sdnprobe.Plan.Randomized (Sdn_util.Prng.create 3))
+    hunt "randomized SDNProbe" (Sdnprobe.Plan.randomized (Sdn_util.Prng.create 3) net)
   in
   if randomized_found && not static_found then
     Format.printf "@.path randomization closed the blind spot. \u{2713}@."

@@ -19,34 +19,31 @@ let probes_of_assignment net rg assigned =
       Probe.make net ~id:i ~rules ~header)
     assigned
 
-let of_cover ?pool net rg ~policy cover =
-  probes_of_assignment net rg (Mlpc.Headers.assign ?pool policy cover)
-
-let generate ?pool ?(mode = Static) network =
-  let t0 = Sdn_util.Mono.now_s () in
-  let rulegraph = RG.build network in
-  let cover, policy =
-    match mode with
-    | Static -> (Mlpc.Legal_matching.solve ?pool rulegraph, Mlpc.Headers.Sat_unique)
-    | Randomized rng ->
-        (Mlpc.Legal_matching.randomized ?pool rng rulegraph, Mlpc.Headers.Random rng)
-  in
-  let probes = of_cover ?pool network rulegraph ~policy cover in
-  { network; rulegraph; cover; probes; generation_s = Sdn_util.Mono.now_s () -. t0; mode }
-
-let redraw ?pool t rng =
-  let t0 = Sdn_util.Mono.now_s () in
-  let cover = Mlpc.Legal_matching.randomized ?pool rng t.rulegraph in
+(* One randomized draw over a built rule graph: randomized greedy legal
+   matching, then uniform header draws from the same PRNG. [randomized]
+   and [redraw] differ only in where the rule graph comes from; [t0]
+   is when generation started, so [randomized] counts the build too. *)
+let draw ?pool ~t0 rng network rulegraph =
+  let cover = Mlpc.Legal_matching.randomized ?pool rng rulegraph in
   let probes =
-    of_cover ?pool t.network t.rulegraph ~policy:(Mlpc.Headers.Random rng) cover
+    probes_of_assignment network rulegraph
+      (Mlpc.Headers.assign ?pool (Mlpc.Headers.Random rng) cover)
   in
   {
-    t with
+    network;
+    rulegraph;
     cover;
     probes;
     generation_s = Sdn_util.Mono.now_s () -. t0;
     mode = Randomized rng;
   }
+
+let randomized ?pool rng network =
+  let t0 = Sdn_util.Mono.now_s () in
+  draw ?pool ~t0 rng network (RG.build network)
+
+let redraw ?pool t rng =
+  draw ?pool ~t0:(Sdn_util.Mono.now_s ()) rng t.network t.rulegraph
 
 let size t = List.length t.probes
 

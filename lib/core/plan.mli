@@ -24,42 +24,32 @@ type t = {
           {!Runner.execute} *)
 }
 
-val generate : ?pool:Sdn_parallel.Pool.t -> ?mode:mode -> Openflow.Network.t -> t
-[@@deprecated "use Pipeline.create, which keeps the session for incremental re-planning"]
-(** Build the full pipeline. [mode] defaults to [Static]. With [pool]
-    the matching's legality warm-up and the header assignment run in
-    parallel; the plan is byte-identical for any domain count (see
-    {!Mlpc.Legal_matching.solve} and {!Mlpc.Headers.assign}). Raises
+val randomized : ?pool:Sdn_parallel.Pool.t -> Sdn_util.Prng.t -> Openflow.Network.t -> t
+(** A Randomized SDNProbe plan: build the rule graph, then draw a
+    randomized greedy legal matching and uniform headers from [rng].
+    With [pool] the matching's legality warm-up and the header draw run
+    in parallel; the plan is byte-identical for any domain count. Raises
     {!Rulegraph.Rule_graph.Cyclic_policy} on looping policies.
 
-    @deprecated One-shot batch entry point, kept as a shim. New code
-    should create a [Pipeline.t] (library [pipeline]) — its [plan] is
-    byte-identical to this function's output, and the session can then
-    absorb flow-table churn incrementally via [Pipeline.apply]. *)
+    Static plans (minimum cover, [Sat_unique] headers) come from
+    [Pipeline.create] (library [pipeline]), which keeps the session for
+    incremental re-planning. *)
 
 val redraw : ?pool:Sdn_parallel.Pool.t -> t -> Sdn_util.Prng.t -> t
-(** New randomized paths + headers over the existing rule graph (used
-    between detection cycles by Randomized SDNProbe). *)
-
-val of_cover :
-  ?pool:Sdn_parallel.Pool.t ->
-  Openflow.Network.t ->
-  Rulegraph.Rule_graph.t ->
-  policy:Mlpc.Headers.policy ->
-  Mlpc.Cover.t ->
-  Probe.t list
-(** Lower a cover to probes with the given header policy (probe ids are
-    indices into the cover's path list). *)
+(** New randomized paths + headers over the plan's kept rule graph
+    (used between detection cycles by Randomized SDNProbe). The same
+    draw as {!randomized}: from a fresh PRNG of the same seed the probes
+    are byte-identical. *)
 
 val probes_of_assignment :
   Openflow.Network.t ->
   Rulegraph.Rule_graph.t ->
   (Mlpc.Cover.path * Hspace.Header.t) list ->
   Probe.t list
-(** The second half of {!of_cover}: lower an already-assigned cover to
-    probes. Split out so a caller can run {!Mlpc.Headers.assign} itself
-    with a speculation memo ([Pipeline] does) and still produce probes
-    the standard way. *)
+(** Lower an already-assigned cover to probes (probe ids are indices
+    into the cover's path list). A caller can run {!Mlpc.Headers.assign}
+    itself with a speculation memo ([Pipeline] does) and still produce
+    probes the standard way. *)
 
 val size : t -> int
 (** Number of probes (= test packets). *)

@@ -1,4 +1,3 @@
-module Emulator = Dataplane.Emulator
 module Clock = Dataplane.Clock
 module FE = Openflow.Flow_entry
 module Network = Openflow.Network
@@ -275,15 +274,3 @@ let execute ?stop ?name ~config ~emulator (plan : Plan.t) =
 let execute_probes ?stop ?name ?region_of ~config ~(backend : Backend.t)
     ~generation_s probes =
   engine ?stop ?region_of ?name ~config ~backend ~generation_s probes
-
-let run ?stop ?redraw ?name ~config ~emulator ~generation_s probes =
-  engine ?stop ?redraw ?name ~config ~backend:(Backend.of_emulator emulator)
-    ~generation_s probes
-
-let detect ?stop ?(mode = Plan.Static) ~config emulator =
-  (* The shim below is itself deprecated; it may keep calling the
-     deprecated batch generator. *)
-  let[@alert "-deprecated"] plan =
-    Plan.generate ?pool:(Config.pool config) ~mode (Emulator.network emulator)
-  in
-  execute ?stop ~config ~emulator plan

@@ -35,6 +35,13 @@ val stop_after_s : float -> stop
 
 val stop_any : stop list -> stop
 
+(** {2 Entry points}
+
+    One engine behind three entry points, one per kind of caller:
+    {!execute} for a {!Plan.t} on the in-process emulator, {!execute_on}
+    for a {!Plan.t} on any {!Backend.t} (the wire backend), and
+    {!execute_probes} for a raw probe list (sharded plans). *)
+
 val execute :
   ?stop:stop ->
   ?name:string ->
@@ -42,19 +49,15 @@ val execute :
   emulator:Dataplane.Emulator.t ->
   Plan.t ->
   Report.t
-(** The single entry point: run the detection loop over a generated
-    {!Plan.t}. The plan's {!Plan.mode} carries the redraw capability —
-    a [Plan.Randomized] plan re-draws fresh paths (over its kept rule
-    graph) at every detection-cycle boundary, a [Plan.Static] plan
-    reuses its probes. [name] overrides the report's scheme label
-    (default ["sdnprobe"] / ["randomized-sdnprobe"] by mode). The
-    emulator's faults are the ground truth being hunted; its clock is
-    advanced by this function and left at the end-of-run time.
-
-    [execute] runs against the in-process emulator
-    ({!Backend.of_emulator}); {!execute_on} is the same engine over an
-    arbitrary {!Backend.t} — notably the wire backend, where probes are
-    real UDP datagrams (see [docs/WIRE.md]). *)
+(** Run the detection loop over a {!Plan.t} against the in-process
+    emulator ({!Backend.of_emulator}). The plan's {!Plan.mode} carries
+    the redraw capability — a [Plan.Randomized] plan re-draws fresh
+    paths (over its kept rule graph) at every detection-cycle boundary,
+    a [Plan.Static] plan reuses its probes. [name] overrides the
+    report's scheme label (default ["sdnprobe"] /
+    ["randomized-sdnprobe"] by mode). The emulator's faults are the
+    ground truth being hunted; its clock is advanced by this function
+    and left at the end-of-run time. *)
 
 val execute_on :
   ?stop:stop ->
@@ -63,8 +66,10 @@ val execute_on :
   backend:Backend.t ->
   Plan.t ->
   Report.t
-(** {!execute} over an explicit probe-delivery backend. The caller owns
-    the backend's lifetime ([Backend.close] is not called here). *)
+(** {!execute} over an explicit probe-delivery backend — notably the
+    wire backend, where probes are real UDP datagrams (see
+    [docs/WIRE.md]). The caller owns the backend's lifetime
+    ([Backend.close] is not called here). *)
 
 val execute_probes :
   ?stop:stop ->
@@ -82,29 +87,3 @@ val execute_probes :
     region borders ({!Probe.slice}), so suspicion converges on the
     guilty region before within-region slicing takes over. Without
     [region_of], behaviour matches {!execute_on} on a static plan. *)
-
-(** {2 Deprecated wrappers}
-
-    Kept for source compatibility with pre-[Plan.t] callers; both
-    delegate to the {!execute} engine. New code should generate a
-    {!Plan.t} and call {!execute}. *)
-
-val run :
-  ?stop:stop ->
-  ?redraw:(cycle:int -> Probe.t list) ->
-  ?name:string ->
-  config:Config.t ->
-  emulator:Dataplane.Emulator.t ->
-  generation_s:float ->
-  Probe.t list ->
-  Report.t
-[@@deprecated "use Runner.execute with a Plan.t"]
-(** @deprecated Use {!execute}. Runs detection with raw probes;
-    [redraw ~cycle] (if given) supplies fresh probes when cycle
-    [cycle >= 1] begins. *)
-
-val detect : ?stop:stop -> ?mode:Plan.mode -> config:Config.t -> Dataplane.Emulator.t -> Report.t
-[@@deprecated "use Pipeline.create + Runner.execute"]
-(** @deprecated Use [Pipeline.create] + {!execute} (or, for one-shot
-    batch generation, {!Plan.generate} + {!execute}). Generates a plan
-    for the emulator's network and executes it. *)

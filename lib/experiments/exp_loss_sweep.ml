@@ -60,13 +60,8 @@ let impaired_emulator net ~loss =
       (Impairment.create (Impairment.spec ~seed:impair_seed ~loss_rate:loss ()));
   emulator
 
-(* Static plans come from a [Pipeline] session; randomized plans stay
-   on the (deprecated) batch generator — they re-draw per cycle and
-   have no session state to keep. *)
 let plan_of ~randomized ~seed net =
-  if randomized then
-    (Sdnprobe.Plan.generate [@alert "-deprecated"])
-      ~mode:(Sdnprobe.Plan.Randomized (Prng.create seed)) net
+  if randomized then Sdnprobe.Plan.randomized (Prng.create seed) net
   else Pipeline.plan (Pipeline.create net)
 
 let scheme_name ~randomized = if randomized then "rand-sdnprobe" else "sdnprobe"

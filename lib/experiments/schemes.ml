@@ -10,10 +10,7 @@ let name = function
   | Atpg -> "atpg"
   | Per_rule -> "per-rule"
 
-(* Randomized SDNProbe re-draws per cycle and has no incremental
-   session to keep, so it stays on the (deprecated) batch generator. *)
-let[@alert "-deprecated"] randomized_plan ~seed net =
-  Sdnprobe.Plan.generate ~mode:(Sdnprobe.Plan.Randomized (Prng.create seed)) net
+let randomized_plan ~seed net = Sdnprobe.Plan.randomized (Prng.create seed) net
 
 let plan_size t ~seed net =
   match t with

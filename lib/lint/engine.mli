@@ -1,8 +1,9 @@
 (** The lint engine: runs registered {!Passes} over a network policy
     and collects diagnostics plus per-pass wall-clock timings.
 
-    This is the programmatic entry point behind [sdnprobe lint] and the
-    {!Rulegraph.Static_checks} compatibility shim. *)
+    This is the programmatic entry point behind [sdnprobe lint]; its
+    L001–L003 passes are the rule graph's loop, blackhole and shadow
+    checks. *)
 
 type report = {
   diagnostics : Diagnostic.t list;  (** in pass/emission order *)

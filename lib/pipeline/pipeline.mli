@@ -21,7 +21,8 @@
     Sessions plan with SDNProbe's static scheme ([Mlpc.Headers.Sat_unique]
     over the minimum cover). Randomized SDNProbe re-draws per detection
     cycle anyway, so it has nothing to reuse across edits — use
-    {!Sdnprobe.Plan.redraw} (via [Runner.execute]) for that mode. *)
+    {!Sdnprobe.Plan.randomized} for that mode ([Runner.execute] then
+    re-draws with {!Sdnprobe.Plan.redraw}). *)
 
 type t
 
@@ -32,10 +33,9 @@ exception Edit_error of string
     {!apply} for the state guarantee. *)
 
 val create : ?pool:Sdn_parallel.Pool.t -> Openflow.Network.t -> t
-(** Build a session: full rule graph, cover, headers, plan. Equivalent
-    to the deprecated [Plan.generate] but retains everything needed to
-    re-plan incrementally. Raises {!Rulegraph.Rule_graph.Cyclic_policy}
-    on looping policies. *)
+(** Build a session: full rule graph, cover, headers, plan — the static
+    planner — retaining everything needed to re-plan incrementally.
+    Raises {!Rulegraph.Rule_graph.Cyclic_policy} on looping policies. *)
 
 val plan : t -> Sdnprobe.Plan.t
 (** The current plan. Its probes feed {!Sdnprobe.Runner.execute} and

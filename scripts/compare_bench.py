@@ -24,7 +24,11 @@ reports host_cores: 1, the */par4 entries are not gated either: a
 code, so any par4 ratio against a baseline is a false regression
 signal (--gate-entry still force-gates them). Exits non-zero when any
 gated entry is slower than baseline by more than --max-slowdown.
-Stdlib only.
+
+Every run also checks the RATIOS table against the baseline capture:
+each row is a speedup bound between two entries of the same file. A
+row whose entries are both missing from the baseline is reported as not
+gated; a row with only one of them present fails. Stdlib only.
 """
 
 import argparse
@@ -33,6 +37,17 @@ import json
 import sys
 
 SCHEMA_VERSION = 1
+
+# Speedup bounds held on the baseline itself: (slow entry, fast entry,
+# minimum slow/fast). Incremental re-verification (docs/VERIFY.md) and
+# incremental re-planning (docs/INCREMENTAL.md) per edit vs a full
+# recompute at 50 switches; sharded vs flat end-to-end planning at 200
+# switches (docs/SHARD.md).
+RATIOS = [
+    ("verify.closure/50", "verify.edit/50", 10.0),
+    ("plan.full/50", "plan.edit/50", 10.0),
+    ("plan.full/200", "shard.plan/200", 2.0),
+]
 
 
 def load_entries(path):
@@ -62,6 +77,26 @@ def scale_of(name):
         name = name[: -len("/par4")]
     _, _, suffix = name.rpartition("/")
     return int(suffix) if suffix.isdigit() else None
+
+
+def check_ratios(entries):
+    """Print every RATIOS row against `entries`; return the failed rows."""
+    failures = []
+    for slow, fast, minimum in RATIOS:
+        row = f"{slow} / {fast}"
+        missing = [n for n in (slow, fast) if n not in entries]
+        if len(missing) == 2:
+            print(f"{row:<40} (not in baseline, not gated)")
+        elif missing:
+            print(f"{row:<40} FAIL: {missing[0]} missing from baseline")
+            failures.append(row)
+        else:
+            ratio = entries[slow] / entries[fast]
+            ok = ratio >= minimum
+            print(f"{row:<40} {ratio:>6.2f}x (need >= {minimum:g}x) {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(row)
+    return failures
 
 
 def pretty_ns(ns):
@@ -182,11 +217,15 @@ def main():
             f" {ratio:>6.2f}x{verdict}"
         )
 
+    ratio_failures = check_ratios(base)
+
     if failures:
         sys.exit(
             f"{len(failures)} entr{'y' if len(failures) == 1 else 'ies'} regressed "
             f"beyond {args.max_slowdown:.2f}x: {', '.join(failures)}"
         )
+    if ratio_failures:
+        sys.exit(f"baseline speedup bounds not met: {', '.join(ratio_failures)}")
     print(f"ok: no entry slower than {args.max_slowdown:.2f}x baseline")
 
 

@@ -3,7 +3,8 @@
 host_cores: 1 rule: a candidate captured on a single core must not
 fail the gate on */par4 entries (a 4-domain pool on one core measures
 scheduler contention, not the code), while serial entries keep gating
-and --gate-entry still force-gates par4. Stdlib only:
+and --gate-entry still force-gates par4; and the RATIOS speedup table
+held on the baseline. Stdlib only:
 
     python3 scripts/test_compare_bench.py
 """
@@ -157,7 +158,7 @@ class TestOneSidedEntries(unittest.TestCase):
 
     def test_baseline_only_entry_passes(self):
         # Candidate measured at a subset of the baseline's scales.
-        base = self.cap({**BASE, "plan.full/200": 2.6e9})
+        base = self.cap({**BASE, "rulegraph.build/200": 2.2e9})
         cur = self.cap(BASE)
         code, out = run(base, cur)
         self.assertEqual(code, 0, out)
@@ -170,6 +171,49 @@ class TestOneSidedEntries(unittest.TestCase):
         code, out = run(base, cur)
         self.assertNotEqual(code, 0, out)
         self.assertIn("verify.closure/16", out)
+
+
+class TestRatioTable(unittest.TestCase):
+    """The RATIOS speedup bounds, checked on the baseline capture."""
+
+    def setUp(self):
+        self.paths = []
+
+    def tearDown(self):
+        for p in self.paths:
+            os.unlink(p)
+
+    def run_on(self, extra):
+        base = capture({**BASE, **extra}, 4)
+        cur = capture(BASE, 4)
+        self.paths += [base, cur]
+        return run(base, cur)
+
+    def test_row_meeting_its_bound_passes(self):
+        code, out = self.run_on({"verify.closure/50": 3.0e9, "verify.edit/50": 60e6})
+        self.assertEqual(code, 0, out)
+        self.assertIn("50.00x", out)
+
+    def test_row_below_its_bound_fails(self):
+        code, out = self.run_on({"plan.full/200": 3.0e9, "shard.plan/200": 2.0e9})
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("plan.full/200 / shard.plan/200", out)
+
+    def test_row_with_one_entry_fails(self):
+        code, out = self.run_on({"plan.full/50": 1.7e9})
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("plan.edit/50 missing", out)
+
+    def test_committed_baseline_meets_every_row(self):
+        sys.path.insert(0, os.path.dirname(SCRIPT))
+        import compare_bench
+
+        bench = os.path.join(os.path.dirname(SCRIPT), os.pardir, "BENCH_10.json")
+        entries, _ = compare_bench.load_entries(bench)
+        names = [n for slow, fast, _ in compare_bench.RATIOS for n in (slow, fast)]
+        for name in names + ["shard.build/1000"]:
+            self.assertIn(name, entries)
+        self.assertEqual(compare_bench.check_ratios(entries), [])
 
 
 if __name__ == "__main__":

@@ -19,14 +19,16 @@ let check_int = Alcotest.(check int)
 
 let config = Config.default
 
-(* Deprecated-wrapper coverage: Runner.detect and randomized
-   Plan.generate are kept as shims and must keep working until removed;
-   these suppressed aliases are their only sanctioned callers here —
-   everything static goes through Pipeline. *)
-let[@alert "-deprecated"] detect_shim ?stop ?mode ~config emu =
-  Runner.detect ?stop ?mode ~config emu
-
-let[@alert "-deprecated"] generate_randomized ~mode net = Plan.generate ~mode net
+(* Plan the emulator's network — static through a Pipeline session,
+   randomized when [rng] is given — and run detection over it. *)
+let detect ?stop ?rng ~config emu =
+  let net = Emu.network emu in
+  let plan =
+    match rng with
+    | Some rng -> Plan.randomized rng net
+    | None -> Pipeline.plan (Pipeline.create net)
+  in
+  Runner.execute ?stop ~config ~emulator:emu plan
 
 (* ------------------------------------------------------------------ *)
 (* Probe mechanics *)
@@ -132,7 +134,7 @@ let test_plan_probes_pass_cleanly () =
 let test_plan_redraw_varies () =
   let fx = Fixtures.figure3 () in
   let rng = Prng.create 3 in
-  let plan = generate_randomized ~mode:(Plan.Randomized rng) fx.Fixtures.net in
+  let plan = Plan.randomized rng fx.Fixtures.net in
   let covers =
     List.init 6 (fun _ ->
         let p = Plan.redraw plan rng in
@@ -140,11 +142,34 @@ let test_plan_redraw_varies () =
   in
   check_bool "redraw varies" true (List.length (List.sort_uniq compare covers) > 1)
 
+(* [Plan.randomized] and [Plan.redraw] share one draw: re-drawing over
+   any plan's kept rule graph from a fresh PRNG gives the same bytes as
+   planning from scratch with that seed. *)
+let test_redraw_matches_randomized () =
+  let bytes (p : Plan.t) =
+    List.map
+      (fun (pr : Probe.t) -> (pr.Probe.id, pr.Probe.rules, Header.to_string pr.Probe.header))
+      p.Plan.probes
+  in
+  let rng = Prng.create 21 in
+  let topo = Topogen.Topo_gen.rocketfuel_like rng ~n_switches:16 () in
+  List.iter
+    (fun net ->
+      let fresh = Plan.randomized (Prng.create 8) net in
+      List.iter
+        (fun (label, (kept : Plan.t)) ->
+          check_bool label true (bytes (Plan.redraw kept (Prng.create 8)) = bytes fresh))
+        [
+          ("over a randomized plan", Plan.randomized (Prng.create 99) net);
+          ("over a static plan", Pipeline.plan (Pipeline.create net));
+        ])
+    [ (Fixtures.figure3 ()).Fixtures.net; Topogen.Rule_gen.install rng topo ]
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end localization *)
 
 let run_static ?(cfg = config) ?stop emu =
-  detect_shim ?stop ~config:cfg emu
+  detect ?stop ~config:cfg emu
 
 let test_no_fault_no_detection () =
   let fx = Fixtures.figure3 () in
@@ -254,9 +279,9 @@ let test_targeting_fault_randomized_catches () =
     (Fault.make ~activation:(Fault.Targeting (Cube.of_string "0010xxx1")) Fault.Drop_packet);
   let cfg = Config.with_max_rounds 400 config in
   let report =
-    detect_shim
+    detect
       ~stop:(Runner.stop_when_flagged [ Fixtures.sw_b ])
-      ~mode:(Plan.Randomized (Prng.create 11))
+      ~rng:(Prng.create 11)
       ~config:cfg emu
   in
   check_bool "randomized catches targeting fault" true
@@ -278,9 +303,9 @@ let test_detour_randomized_detects () =
   Emu.set_fault emu ~entry:fx.Fixtures.a1.FE.id (Fault.make (Fault.Detour Fixtures.sw_c));
   let cfg = Config.with_max_rounds 600 config in
   let report =
-    detect_shim
+    detect
       ~stop:(Runner.stop_when_flagged [ Fixtures.sw_a ])
-      ~mode:(Plan.Randomized (Prng.create 4))
+      ~rng:(Prng.create 4)
       ~config:cfg emu
   in
   check_bool "randomized detects detour" true
@@ -312,7 +337,7 @@ let test_empty_network () =
   check_int "no probes" 0 (Plan.size plan);
   let emu = Emu.create net in
   let cfg = Config.with_max_rounds 5 config in
-  let report = detect_shim ~config:cfg emu in
+  let report = detect ~config:cfg emu in
   check_bool "no detections" true (Report.flagged_switches report = []);
   check_int "no packets" 0 report.Report.packets_sent
 
@@ -332,12 +357,12 @@ let test_single_switch_plan () =
   check_bool "covers the rule" true (p.Probe.rules = [ e.FE.id ]);
   (* It passes on a healthy emulator... *)
   let emu = Emu.create net in
-  let report = detect_shim ~config:(Config.with_max_rounds 3 config) emu in
+  let report = detect ~config:(Config.with_max_rounds 3 config) emu in
   check_bool "healthy" true (Report.flagged_switches report = []);
   (* ... and a fault on it is localized. *)
   Emu.set_fault emu ~entry:e.FE.id (Fault.make Fault.Drop_packet);
   let report =
-    detect_shim ~stop:(Runner.stop_when_flagged [ 0 ]) ~config emu
+    detect ~stop:(Runner.stop_when_flagged [ 0 ]) ~config emu
   in
   check_bool "flagged" true (Report.flagged_switches report = [ 0 ])
 
@@ -373,6 +398,7 @@ let () =
           Alcotest.test_case "generation" `Quick test_plan_generation;
           Alcotest.test_case "clean pass" `Quick test_plan_probes_pass_cleanly;
           Alcotest.test_case "redraw varies" `Quick test_plan_redraw_varies;
+          Alcotest.test_case "redraw = randomized" `Quick test_redraw_matches_randomized;
         ] );
       ( "localization",
         [

@@ -54,10 +54,7 @@ let test_plan_predictions_execute () =
 let test_randomized_predictions_execute () =
   for seed = 1 to 3 do
     let net = random_net (100 + seed) in
-    let plan =
-      (Plan.generate [@alert "-deprecated"])
-        ~mode:(Plan.Randomized (Prng.create seed)) net
-    in
+    let plan = Plan.randomized (Prng.create seed) net in
     let emu = Emu.create net in
     List.iter
       (fun (p : Probe.t) ->

@@ -317,40 +317,16 @@ let test_sorted_severity_order () =
   let _hi = add net ~switch:1 ~priority:2 ~match_:"11xx" FE.Drop in
   let _dead = add net ~switch:1 ~priority:1 ~match_:"110x" FE.Drop in
   let report = Engine.run net in
-  match Engine.sorted report with
+  (match Engine.sorted report with
   | first :: _ -> check_string "error first" "error" (D.severity_to_string first.D.severity)
-  | [] -> Alcotest.fail "expected diagnostics"
-
-(* ------------------------------------------------------------------ *)
-(* Static_checks compatibility shim *)
-
-module SC = Rulegraph.Static_checks
-
-let test_shim_matches_engine () =
-  let topo = Topology.create ~n_switches:2 in
-  Topology.add_link topo ~sw_a:0 ~port_a:1 ~sw_b:1 ~port_b:1;
-  let net = Network.create ~header_len:4 topo in
-  let fwd = add net ~switch:0 ~priority:2 ~match_:"1xxx" (FE.Output 1) in
-  let dead = add net ~switch:0 ~priority:1 ~match_:"11xx" (FE.Output 1) in
-  let _ = add net ~switch:1 ~priority:1 ~match_:"11xx" FE.Drop in
-  (match SC.check net with
-  | [ SC.Blackhole { rule; next_switch; space }; SC.Shadowed_rule id ] ->
-      check_int "blackhole rule" fwd.FE.id rule;
-      check_int "next switch" 1 next_switch;
-      check_bool "space" true (Hs.equal_sets space (Hs.of_cubes 4 [ Cube.of_string "10xx" ]));
-      check_int "shadowed" dead.FE.id id
-  | issues -> Alcotest.failf "unexpected shim result (%d issues)" (List.length issues));
-  check_bool "pp mentions priority" true
-    (let s =
-       Format.asprintf "%a" (SC.pp_issue net) (SC.Shadowed_rule dead.FE.id)
-     in
-     (* Satellite contract: priorities printed alongside ids. *)
-     let contains sub s =
-       let n = String.length sub in
-       let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-       go 0
-     in
-     contains "(p1)" s)
+  | [] -> Alcotest.fail "expected diagnostics");
+  (* Unsorted, diagnostics keep pass order: the blackhole, then the
+     shadowed rule. *)
+  check_bool "emission order" true
+    (List.map
+       (fun (d : D.t) -> d.D.check)
+       (Engine.run ~only:[ "L001"; "L002"; "L003" ] net).Engine.diagnostics
+    = [ "L002-blackhole"; "L003-shadowed-rule" ])
 
 (* ------------------------------------------------------------------ *)
 (* Scale: the full registry over a generated Rocketfuel-like policy *)
@@ -428,8 +404,6 @@ let () =
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "sorted order" `Quick test_sorted_severity_order;
         ] );
-      ( "compat",
-        [ Alcotest.test_case "static_checks shim" `Quick test_shim_matches_engine ] );
       ( "scale",
         [ Alcotest.test_case "50-switch generated" `Slow test_generated_scale ] );
     ]

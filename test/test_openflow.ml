@@ -121,10 +121,10 @@ let test_output_space () =
   check_bool "d1 out" true
     (Hs.equal_sets (FT.output_space t d1) (Hs.of_cubes 8 [ Cube.of_string "0111xxxx" ]))
 
-(* Property: an entry's input space is empty exactly when the static
-   checker reports it shadowed — [Flow_table.input_space] (including the
-   equal-priority id tiebreak) and the lint-backed [Static_checks] agree
-   on every random table. *)
+(* Property: an entry's input space is empty exactly when the lint
+   engine's L003 pass reports it shadowed — [Flow_table.input_space]
+   (including the equal-priority id tiebreak) and the static checks
+   agree on every random table. *)
 
 let gen_table =
   QCheck.Gen.(
@@ -153,11 +153,17 @@ let prop_shadow_iff_empty_input =
             Network.add_entry net ~switch:0 ~priority ~match_ FE.Drop)
           rows
       in
-      let issues = Rulegraph.Static_checks.check net in
+      let shadowed =
+        List.filter_map
+          (fun (d : Lint.Diagnostic.t) ->
+            match (d.check, d.entries) with
+            | "L003-shadowed-rule", id :: _ -> Some id
+            | _ -> None)
+          (Lint.Engine.run ~only:[ "L001"; "L002"; "L003" ] net).Lint.Engine.diagnostics
+      in
       List.for_all
         (fun (e : FE.t) ->
-          Hs.is_empty (Network.input_space net e)
-          = List.mem (Rulegraph.Static_checks.Shadowed_rule e.id) issues)
+          Hs.is_empty (Network.input_space net e) = List.mem e.id shadowed)
         entries)
 
 (* ------------------------------------------------------------------ *)

@@ -254,11 +254,10 @@ let scenario ~domains ~switches ~seed ~kind ~fraction ~randomized ~max_rounds ~i
   let config =
     Config.with_domains domains (Config.with_max_rounds max_rounds Config.default)
   in
-  let mode = if randomized then Plan.Randomized (Prng.create seed) else Plan.Static in
+  let pool = Config.pool config in
   let plan =
-    match mode with
-    | Plan.Static -> Pipeline.plan (Pipeline.create ?pool:(Config.pool config) net)
-    | _ -> (Plan.generate [@alert "-deprecated"]) ?pool:(Config.pool config) ~mode net
+    if randomized then Plan.randomized ?pool (Prng.create seed) net
+    else Pipeline.plan (Pipeline.create ?pool net)
   in
   let report =
     Runner.execute ~stop:(Runner.stop_when_flagged truth) ~config ~emulator:emu plan

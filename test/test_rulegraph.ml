@@ -332,16 +332,20 @@ let test_incremental_cycle_detected () =
      with RG.Cyclic_policy _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Static policy checks *)
+(* Static policy checks: the lint engine's loop, blackhole and shadow
+   passes, in pass order *)
 
-module SC = Rulegraph.Static_checks
+module D = Lint.Diagnostic
+
+let static_checks net =
+  (Lint.Engine.run ~only:[ "L001"; "L002"; "L003" ] net).Lint.Engine.diagnostics
 
 let test_static_clean () =
   let f = Fixtures.figure3 () in
   check_bool "figure3 is clean of loops/shadows" true
     (List.for_all
-       (function SC.Blackhole _ -> true | _ -> false)
-       (SC.check f.Fixtures.net))
+       (fun (d : D.t) -> d.D.check = "L002-blackhole")
+       (static_checks f.Fixtures.net))
 
 let test_static_loop () =
   let topo = Openflow.Topology.create ~n_switches:2 in
@@ -350,10 +354,10 @@ let test_static_loop () =
   let m = Cube.of_string "1xxx" in
   let a = Network.add_entry net ~switch:0 ~priority:1 ~match_:m (FE.Output 1) in
   let b = Network.add_entry net ~switch:1 ~priority:1 ~match_:m (FE.Output 1) in
-  match SC.check net with
-  | SC.Forwarding_loop ids :: _ ->
+  match static_checks net with
+  | { D.check = "L001-forwarding-loop"; entries; _ } :: _ ->
       check_bool "both entries on the loop" true
-        (List.sort compare ids = List.sort compare [ a.FE.id; b.FE.id ])
+        (List.sort compare entries = List.sort compare [ a.FE.id; b.FE.id ])
   | _ -> Alcotest.fail "expected a loop issue first"
 
 let test_static_blackhole () =
@@ -368,19 +372,12 @@ let test_static_blackhole () =
   let _ =
     Network.add_entry net ~switch:1 ~priority:1 ~match_:(Cube.of_string "11xx") FE.Drop
   in
-  let blackholes =
-    List.filter_map
-      (function
-        | SC.Blackhole { rule; next_switch; space } -> Some (rule, next_switch, space)
-        | _ -> None)
-      (SC.check net)
-  in
-  match blackholes with
-  | [ (rule, next_switch, space) ] ->
-      check_int "leaking rule" fwd.FE.id rule;
-      check_int "at switch" 1 next_switch;
+  match static_checks net with
+  | [ { D.check = "L002-blackhole"; entries; switch; witness; _ } ] ->
+      check_bool "leaking rule" true (entries = [ fwd.FE.id ]);
+      check_bool "at switch" true (switch = Some 1);
       check_bool "leaked space" true
-        (Hs.equal_sets space (Hs.of_cubes 4 [ Cube.of_string "10xx" ]))
+        (Hs.equal_sets witness (Hs.of_cubes 4 [ Cube.of_string "10xx" ]))
   | _ -> Alcotest.fail "expected exactly one blackhole"
 
 let test_static_shadowed () =
@@ -399,7 +396,10 @@ let test_static_shadowed () =
     Network.add_entry net ~switch:1 ~priority:1 ~match_:(Cube.of_string "xxxx") FE.Drop
   in
   check_bool "shadow reported" true
-    (List.mem (SC.Shadowed_rule shadowed.FE.id) (SC.check net))
+    (List.exists
+       (fun (d : D.t) ->
+         d.D.check = "L003-shadowed-rule" && List.hd d.D.entries = shadowed.FE.id)
+       (static_checks net))
 
 (* ------------------------------------------------------------------ *)
 (* Space caches *)
@@ -453,13 +453,11 @@ let test_static_generated_clean () =
   let topo = Topogen.Topo_gen.rocketfuel_like rng ~n_switches:10 () in
   let net = Topogen.Rule_gen.install rng topo in
   List.iter
-    (fun issue ->
-      match issue with
-      | SC.Forwarding_loop _ | SC.Shadowed_rule _ ->
-          Alcotest.failf "unexpected issue: %s"
-            (Format.asprintf "%a" (SC.pp_issue net) issue)
-      | SC.Blackhole _ -> () (* unused selector values die by design *))
-    (SC.check net)
+    (fun (d : D.t) ->
+      (* Blackholes are fine: unused selector values die by design. *)
+      if d.D.check <> "L002-blackhole" then
+        Alcotest.failf "unexpected issue: %s" (Format.asprintf "%a" D.pp d))
+    (static_checks net)
 
 let () =
   Alcotest.run "rulegraph"

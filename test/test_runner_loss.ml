@@ -56,15 +56,11 @@ let scenario ~switches ~seed ~kind ~fraction ~randomized ~max_rounds =
   let emu = Emu.create net in
   let truth = W.inject (Prng.create (seed + 1)) ~kind ~fraction emu in
   let config = Config.with_max_rounds max_rounds Config.default in
-  let mode =
-    if randomized then Plan.Randomized (Prng.create seed) else Plan.Static
-  in
   Runner.execute
     ~stop:(Runner.stop_when_flagged truth)
     ~config ~emulator:emu
-    (match mode with
-    | Plan.Static -> Pipeline.plan (Pipeline.create net)
-    | _ -> (Plan.generate [@alert "-deprecated"]) ~mode net)
+    (if randomized then Plan.randomized (Prng.create seed) net
+     else Pipeline.plan (Pipeline.create net))
 
 let test_golden_static_drop () =
   let r =

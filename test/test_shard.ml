@@ -88,15 +88,32 @@ let splan ?domains ?target net =
   let pool = Option.map pool domains in
   Splan.create ?pool ?target net
 
+(* The two planners agree on one region (docs/SHARD.md, "One region is
+   the flat plan"): with [~target] at least the switch count there is
+   nothing to stitch, the region's cover IS the flat cover, and the
+   probes — ids, rule paths and Sat_unique headers — and the untestable
+   entries are byte-identical to [Pipeline.create]'s. *)
 let test_splan_single_region_matches_flat () =
-  (* Whole net in one region: no stitching, the per-region cover IS the
-     flat cover, so probes must be byte-identical to the flat plan. *)
-  let net = make_net ~switches:16 ~seed:1 in
-  let flat = Pipeline.plan (Pipeline.create net) in
-  let sp = splan net in
-  check_int "one region" 1 sp.Splan.stats.Splan.regions;
-  check_str "probes match flat plan" (fingerprint flat.Plan.probes)
-    (fingerprint sp.Splan.probes)
+  List.iter
+    (fun (label, net) ->
+      let flat = Pipeline.plan (Pipeline.create net) in
+      let n = Openflow.Topology.n_switches (Network.topology net) in
+      List.iter
+        (fun sp ->
+          check_int (label ^ ": one region") 1 sp.Splan.stats.Splan.regions;
+          check_int (label ^ ": nothing stitched") 0 sp.Splan.stats.Splan.stitched;
+          check_str (label ^ ": probes match flat plan") (fingerprint flat.Plan.probes)
+            (fingerprint sp.Splan.probes);
+          check_bool (label ^ ": untestable match flat plan") true
+            (sp.Splan.untestable
+            = List.map
+                (fun v -> (Rulegraph.Rule_graph.vertex_entry flat.Plan.rulegraph v).FE.id)
+                flat.Plan.cover.Mlpc.Cover.untestable))
+        [ splan net; splan ~target:n net ])
+    [
+      ("rocketfuel 16", make_net ~switches:16 ~seed:1);
+      ("preset 16", snd (Topogen.Preset.scale ~n_switches:16));
+    ]
 
 let test_splan_covers_all_testable () =
   (* Two-level cover coverage: every entry is on some probe's rule list
