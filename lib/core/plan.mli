@@ -48,7 +48,7 @@ val probes_of_assignment :
   Probe.t list
 (** Lower an already-assigned cover to probes (probe ids are indices
     into the cover's path list). A caller can run {!Mlpc.Headers.assign}
-    itself with a speculation memo ([Pipeline] does) and still produce
+    itself with a transcript memo ([Pipeline] does) and still produce
     probes the standard way. *)
 
 val size : t -> int

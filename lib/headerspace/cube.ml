@@ -124,7 +124,8 @@ let pos k = (k / chunk_bits, 1 lsl (k mod chunk_bits))
 
 let get c k =
   if k < 0 || k >= c.len then invalid_arg "Cube.get: index out of range";
-  let i, b = pos k in
+  (* Not [pos k]: its tuple would cost an allocation per call. *)
+  let i = k / chunk_bits and b = 1 lsl (k mod chunk_bits) in
   if c.mask.(i) land b = 0 then Any
   else if c.value.(i) land b = 0 then Zero
   else One
@@ -224,22 +225,66 @@ let inter a b =
       Some { len = a.len; mask; value }
   end
 
+(* A conflict in chunk [i] or later: a bit fixed in both cubes with
+   differing values. Toplevel, so the test allocates no closure — the
+   header-assignment component pass runs it on every pair of a
+   bucket. *)
+let rec conflict_from a b i =
+  i < Array.length a.mask
+  && ((a.value.(i) lxor b.value.(i)) land a.mask.(i) land b.mask.(i) <> 0
+     || conflict_from a b (i + 1))
+
 let disjoint a b =
   a != b
   && begin
        check_lengths a b "Cube.disjoint";
-       (* [inter a b = None] without materializing the intersection:
-          a conflict is a bit fixed in both cubes with differing values. *)
-       let n = Array.length a.mask in
-       let rec conflict i =
-         if i >= n then false
-         else
-           let both = a.mask.(i) land b.mask.(i) in
-           if (a.value.(i) lxor b.value.(i)) land both <> 0 then true
-           else conflict (i + 1)
-       in
-       conflict 0
+       (* [inter a b = None] without materializing the intersection. *)
+       conflict_from a b 0
      end
+
+(* Cubes that disagree on a bit every one of them fixes are disjoint.
+   So a set is split by its values on the bits all its members fix
+   (beyond those an enclosing split already used), each part is split
+   again, and members are compared pairwise only once a part has no new
+   common bit. Address-prefix cubes share their leading bits, so parts
+   stay small and most of the n^2 pairs are never tested. *)
+let iter_overlapping cubes f =
+  let n = Array.length cubes in
+  if n > 1 then begin
+    let len = cubes.(0).len in
+    Array.iter
+      (fun c -> if c.len <> len then invalid_arg "Cube.iter_overlapping: length mismatch")
+      cubes;
+    let nch = nchunks len in
+    let rec split part used =
+      let common =
+        Array.init nch (fun k ->
+            Array.fold_left (fun m i -> m land cubes.(i).mask.(k)) (lnot used.(k)) part)
+      in
+      if Array.length part < 3 || Array.for_all (fun m -> m = 0) common then
+        Array.iteri
+          (fun x i ->
+            for y = x + 1 to Array.length part - 1 do
+              let j = part.(y) in
+              if not (conflict_from cubes.(i) cubes.(j) 0) then f i j
+            done)
+          part
+      else begin
+        let key i = Array.init nch (fun k -> cubes.(i).value.(k) land common.(k)) in
+        let keyed = Array.map (fun i -> (key i, i)) part in
+        Array.stable_sort (fun (a, _) (b, _) -> Stdlib.compare a b) keyed;
+        let used = Array.init nch (fun k -> used.(k) lor common.(k)) in
+        let start = ref 0 in
+        for x = 1 to Array.length keyed do
+          if x = Array.length keyed || fst keyed.(x) <> fst keyed.(!start) then begin
+            split (Array.init (x - !start) (fun y -> snd keyed.(!start + y))) used;
+            start := x
+          end
+        done
+      end
+    in
+    split (Array.init n Fun.id) (Array.make nch 0)
+  end
 
 let hull a b =
   if a == b then a

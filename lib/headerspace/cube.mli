@@ -93,6 +93,13 @@ val subset : t -> t -> bool
 val disjoint : t -> t -> bool
 (** [disjoint a b] iff [inter a b = None]. Allocation-free. *)
 
+val iter_overlapping : t array -> (int -> int -> unit) -> unit
+(** [iter_overlapping cubes f] calls [f i j], [i < j], once for every
+    pair of indices whose cubes intersect, in an order fixed by the
+    input. Pairs that differ on a bit every cube of their part fixes are
+    ruled out without being compared, so a family of address prefixes
+    costs far less than all [n^2] pairs. Lengths must agree. *)
+
 val hull : t -> t -> t
 (** [hull a b] is the smallest cube containing both: a position is
     fixed iff both cubes fix it to the same value. Disjoint hulls imply

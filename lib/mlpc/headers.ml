@@ -8,36 +8,30 @@ type policy =
   | Random of Sdn_util.Prng.t
   | Traffic_weighted of Traffic.t * Sdn_util.Prng.t
 
+(* Start-space components, the [Sat_unique] SAT queries they run, and
+   the blocking clauses those queries carry: the sum of their
+   distinct-from lists, the assignment's quadratic term. *)
+let c_components = Metrics.Counter.create "headers.components"
+
+let c_queries = Metrics.Counter.create "headers.sat_queries"
+
+let c_clauses = Metrics.Counter.create "headers.sat_clauses"
+
 let sat_pick ~distinct_from hs =
   (* Try each cube of the space until the SAT query finds a header that
-     differs from all previously chosen ones. Headers outside the cube
-     make their distinct-from clause vacuous (any model inside the cube
-     satisfies it), and the canonical solver's lexicographically-least
-     model cannot be deflected by a clause the model already satisfies —
-     so dropping them changes nothing but the query size, which is what
-     makes reconciliation affordable on thousand-path covers. *)
+     differs from all previously chosen ones. *)
   match distinct_from with
   | [] ->
-      (* Unconstrained query: the canonical solver's model over
-         [inside:[cube]] alone is unit propagation of the fixed bits
-         plus false for every free bit — the cube's first member. Every
-         speculation-phase pick goes through here, so answering from
-         the cube directly (no solver instance) is what keeps header
-         assignment linear on thousand-path covers. *)
+      (* Unconstrained query: no clause can conflict, so the solver's
+         all-false first phase is its answer — the cube's first member —
+         and no solver instance is needed. *)
       Option.map Header.of_cube (Hs.first_member hs)
   | _ :: _ ->
-  let rec loop = function
-    | [] -> None
-    | cube :: rest -> (
-        let relevant = List.filter (fun h -> Header.matches h cube) distinct_from in
-        match
-          Sat.Header_encoding.find_header ~distinct_from:relevant ~inside:[ cube ]
-            (Cube.length cube)
-        with
-        | Some h -> Some h
-        | None -> loop rest)
-  in
-  loop (Hs.cubes hs)
+      List.find_map
+        (fun cube ->
+          Sat.Header_encoding.find_header ~distinct_from ~inside:[ cube ]
+            (Cube.length cube))
+        (Hs.cubes hs)
 
 let random_pick rng ~distinct_from hs =
   (* Rejection sampling for distinctness; falls back to a duplicate when
@@ -79,17 +73,9 @@ let stream_of salt i =
   Sdn_util.Prng.create
     (Int64.to_int (Int64.add salt (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)))
 
-(* Speculation memo for the delta planning path: the phase-1 pick below
-   is a pure function of the path's start space (for [Sat_unique], the
-   canonical solver returns the lexicographically least member of the
-   cube list; for [Deterministic], the first member), so it can be
-   reused across [assign] calls as long as the space's REPRESENTATION —
-   same cubes in the same order, the order [sat_pick] tries them — is
-   unchanged. Keyed by the probe's rule ids, which survive graph
-   renumbering. *)
+(* Transcript memo for the delta planning path. Keyed by the probe's
+   rule ids, which survive graph renumbering. *)
 type memo = {
-  spec : (int list, Hs.t * Header.t option) Hashtbl.t;
-      (* phase-1 unconstrained pick per path key *)
   mutable transcript : (int list * Hs.t * Header.t option) array;
       (* (key, start space, chosen header) of every path of the last
          [assign], in path order. The chosen header at position [i] is a
@@ -102,103 +88,93 @@ type memo = {
          constrained by). *)
 }
 
-let memo_create () = { spec = Hashtbl.create 256; transcript = [||] }
+let memo_create () = { transcript = [||] }
 
 let hs_repr_equal a b =
   let ca = Hs.cubes a and cb = Hs.cubes b in
   List.compare_lengths ca cb = 0 && List.for_all2 Cube.equal ca cb
 
-let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
-    (cover : Cover.t) =
-  (* Split randomized policies into per-path streams (see [stream_of]);
-     [Deterministic] / [Sat_unique] are shared as-is. The array is
-     materialized once so the speculation and reconciliation phases see
-     the same stream objects. *)
-  let per_path =
-    match policy with
-    | Deterministic | Sat_unique -> fun _ -> policy
-    | Random master ->
-        let salt = Sdn_util.Prng.bits64 master in
-        fun i -> Random (stream_of salt i)
-    | Traffic_weighted (traffic, master) ->
-        let salt = Sdn_util.Prng.bits64 master in
-        fun i -> Traffic_weighted (traffic, stream_of salt i)
-  in
-  let pols =
-    Array.of_list cover.Cover.paths |> Array.mapi (fun i p -> (p, per_path i))
-  in
-  (* Phase 1 — speculation: pick every path's header with no
-     distinctness constraint, in parallel. For [Sat_unique] the solver
-     (lowest-index branching over zeroed activities, false-first phase)
-     returns the lexicographically least member of the space, and adding
-     distinct-from clauses that model already satisfies cannot deflect
-     the search (no clause ever conflicts with a prefix of the canonical
-     model), so the unconstrained answer {e is} the constrained answer
-     whenever it is not already taken. *)
-  let speculate (p, pol) = header_for_path ~distinct_from:[] pol p in
-  let speculate_all arr =
-    match pool with
-    | Some pl when Sdn_parallel.Pool.domains pl > 1 -> Sdn_parallel.Pool.map pl speculate arr
-    | _ -> Array.map speculate arr
-  in
-  (* The memo only applies to the pure policies: a randomized draw must
-     not be replayed from a cache. *)
-  let memo =
-    match (memo, policy) with
-    | Some m, (Deterministic | Sat_unique) -> Some m
-    | _ -> None
-  in
-  let spec =
-    match memo with
-    | Some memo ->
-        (* Serve hits from the memo; compute only the misses (still in
-           parallel). The memoized value is exactly what [speculate]
-           would return, so the reconciliation below — and therefore the
-           output — is unchanged by the cache. *)
-        let nn = Array.length pols in
-        let results = Array.make nn None in
-        let miss = ref [] in
-        Array.iteri
-          (fun i (p, _) ->
-            match Hashtbl.find_opt memo.spec (key p) with
-            | Some (hs, r) when hs_repr_equal hs p.Cover.start_space ->
-                results.(i) <- Some r
-            | _ -> miss := i :: !miss)
-          pols;
-        let miss = Array.of_list (List.rev !miss) in
-        let computed = speculate_all (Array.map (fun i -> pols.(i)) miss) in
-        Array.iteri
-          (fun k i ->
-            let p, _ = pols.(i) in
-            Hashtbl.replace memo.spec (key p) (p.Cover.start_space, computed.(k));
-            results.(i) <- Some computed.(k))
-          miss;
-        Array.map Option.get results
-    | None -> speculate_all pols
-  in
-  (* Phase 2 — sequential reconciliation in path order: accept the
-     speculative header unless a previous path took it; only then fall
-     back to the constrained query (exactly the query the sequential
-     fold would have run). Output is therefore identical for any domain
-     count, and for [Sat_unique] identical to the sequential fold. *)
+module Cube_tbl = Hashtbl.Make (struct
+  type t = Cube.t
+
+  let equal = Cube.equal
+
+  let hash = Cube.hash
+end)
+
+(* Paths that can compete for a header. Every policy picks a path's
+   header inside one of its start-space cubes, so a header taken in one
+   component lies in no cube of another: each component sees exactly
+   the taken headers, in the same order, that one global pass in path
+   order would show it. Union-find over the distinct cubes joins the
+   cubes that overlap and the cubes of one path. Components come out as
+   ascending path-index arrays, largest first (the order a pool claims
+   them in), ties by first path. *)
+let components pols =
   let nn = Array.length pols in
-  let out = Array.make nn None in
-  (* [seen] feeds the (rare) constrained re-queries; the hash set
-     answers the per-path "is this header taken" membership test, which
-     a list scan would make quadratic in the cover size. *)
+  (* Number the distinct cubes in order of first appearance. *)
+  let ids = Cube_tbl.create 256 and distinct = ref [] and nd = ref 0 in
+  let id_of c =
+    match Cube_tbl.find_opt ids c with
+    | Some i -> i
+    | None ->
+        Cube_tbl.add ids c !nd;
+        distinct := c :: !distinct;
+        incr nd;
+        !nd - 1
+  in
+  let path_cubes =
+    Array.map (fun ((p : Cover.path), _) -> List.map id_of (Hs.cubes p.Cover.start_space)) pols
+  in
+  let uf = Sdngraph.Union_find.create !nd in
+  let join a b = ignore (Sdngraph.Union_find.union uf a b) in
+  Cube.iter_overlapping (Array.of_list (List.rev !distinct)) join;
+  let anchor =
+    Array.map (function [] -> -1 | a :: rest -> List.iter (join a) rest; a) path_cubes
+  in
+  (* Number components by first path; a path with an empty start space
+     is a component of its own. *)
+  let comp_of_root = Array.make !nd (-1) and ncomp = ref 0 in
+  let fresh () =
+    incr ncomp;
+    !ncomp - 1
+  in
+  let comp =
+    Array.init nn (fun i ->
+        if anchor.(i) < 0 then fresh ()
+        else
+          let r = Sdngraph.Union_find.find uf anchor.(i) in
+          if comp_of_root.(r) < 0 then comp_of_root.(r) <- fresh ();
+          comp_of_root.(r))
+  in
+  let members = Array.make !ncomp [] in
+  for i = nn - 1 downto 0 do
+    members.(comp.(i)) <- i :: members.(comp.(i))
+  done;
+  let groups = Array.map Array.of_list members in
+  Array.stable_sort (fun a b -> Int.compare (Array.length b) (Array.length a)) groups;
+  groups
+
+(* One component, in path order: accept each path's unconstrained pick
+   unless an earlier path of the component took it, else run the
+   constrained query. Paths before [replayed] take their transcript
+   header instead. Returns the headers in [comp] order and the SAT
+   query and clause counts. *)
+let reconcile pols ~replayed ~transcript comp =
+  (* [seen] feeds the constrained re-queries; the hash set answers the
+     per-path "is this header taken" membership test, which a list scan
+     would make quadratic in the component size. *)
   let seen = ref [] in
-  let seen_tbl : (string, unit) Hashtbl.t = Hashtbl.create (max 16 nn) in
+  let seen_tbl : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   (* [Sat_unique] collision path: per-cube buckets of the already-taken
-     headers that lie inside the cube. [sat_pick] filters the whole
-     seen-list per query — quadratic in the cover size when thousands of
-     paths share a handful of popular cubes (destination routing). A
-     bucket is seeded with exactly that filter's result when its cube is
-     first queried and kept current by [record], always in the same
-     reverse-chronological order the filter would produce, so the solver
-     receives a byte-identical query and the output — certificate
-     replays included — is unchanged. *)
-  let buckets : (string, Header.t list ref) Hashtbl.t = Hashtbl.create 64 in
+     headers that lie inside the cube, in reverse-chronological order —
+     the headers that the query's distinct-from list must block (the
+     encoding drops a header outside the cube, so the others would
+     change nothing). A bucket is seeded from [seen] when its cube is
+     first queried and kept current by [record]. *)
+  let buckets : (string, Header.t list ref) Hashtbl.t = Hashtbl.create 16 in
   let registered : (Cube.t * Header.t list ref) list ref = ref [] in
+  let queries = ref 0 and clauses = ref 0 in
   let record h =
     seen := h :: !seen;
     Hashtbl.replace seen_tbl (Header.to_string h) ();
@@ -223,51 +199,97 @@ let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
              fallback as [header_for_path]. *)
           Option.map Header.of_cube (Hs.first_member p.Cover.start_space)
       | cube :: rest -> (
+          let distinct_from = !(bucket_for cube) in
+          incr queries;
+          clauses := !clauses + List.length distinct_from;
           match
-            Sat.Header_encoding.find_header ~distinct_from:!(bucket_for cube)
-              ~inside:[ cube ] (Cube.length cube)
+            Sat.Header_encoding.find_header ~distinct_from ~inside:[ cube ]
+              (Cube.length cube)
           with
           | Some h -> Some h
           | None -> try_cubes rest)
     in
     try_cubes (Hs.cubes p.Cover.start_space)
   in
-  (* Replay the memoized transcript while the cover's prefix matches it
-     (see the [memo] type), then fall back to normal reconciliation from
-     the first divergence on. *)
-  let start =
-    match memo with
-    | None -> 0
-    | Some m ->
-        let tr = m.transcript in
-        let i = ref 0 in
-        let matching = ref true in
-        while !matching && !i < nn && !i < Array.length tr do
-          let p, _ = pols.(!i) in
-          let k0, hs0, ch = tr.(!i) in
-          if k0 = key p && hs_repr_equal hs0 p.Cover.start_space then begin
-            out.(!i) <- ch;
-            (match ch with Some h -> record h | None -> ());
-            incr i
-          end
-          else matching := false
-        done;
-        !i
-  in
-  for i = start to nn - 1 do
-    let p, pol = pols.(i) in
-    let taken h = Hashtbl.mem seen_tbl (Header.to_string h) in
-    let h =
-      match spec.(i) with
+  let pick i =
+    if i < replayed then
+      let _, _, h = transcript.(i) in
+      h
+    else
+      let p, pol = pols.(i) in
+      let taken h = Hashtbl.mem seen_tbl (Header.to_string h) in
+      match header_for_path pol p with
       | Some h when not (taken h) -> Some h
       | _ -> (
           match pol with
           | Sat_unique -> pick_unique p
           | _ -> header_for_path ~distinct_from:!seen pol p)
-    in
-    out.(i) <- h;
-    match h with Some h -> record h | None -> ()
-  done;
+  in
+  let headers =
+    Array.map
+      (fun i ->
+        let h = pick i in
+        Option.iter record h;
+        h)
+      comp
+  in
+  (headers, !queries, !clauses)
+
+let assign ?pool ?memo ?(key = fun (p : Cover.path) -> p.Cover.rules) policy
+    (cover : Cover.t) =
+  (* Split randomized policies into per-path streams (see [stream_of]);
+     [Deterministic] / [Sat_unique] are shared as-is. The array is
+     materialized once, so a path draws from the same stream object for
+     its unconstrained pick and any constrained retry. *)
+  let per_path =
+    match policy with
+    | Deterministic | Sat_unique -> fun _ -> policy
+    | Random master ->
+        let salt = Sdn_util.Prng.bits64 master in
+        fun i -> Random (stream_of salt i)
+    | Traffic_weighted (traffic, master) ->
+        let salt = Sdn_util.Prng.bits64 master in
+        fun i -> Traffic_weighted (traffic, stream_of salt i)
+  in
+  let pols =
+    Array.of_list cover.Cover.paths |> Array.mapi (fun i p -> (p, per_path i))
+  in
+  let nn = Array.length pols in
+  (* The memo only applies to the pure policies: a randomized draw must
+     not be replayed from a cache. *)
+  let memo =
+    match (memo, policy) with
+    | Some m, (Deterministic | Sat_unique) -> Some m
+    | _ -> None
+  in
+  (* Replay the memoized transcript while the cover's prefix matches it
+     (see the [memo] type); reconciliation takes over from the first
+     divergence on. *)
+  let transcript = match memo with Some m -> m.transcript | None -> [||] in
+  let rec matching i =
+    if i < nn && i < Array.length transcript then
+      let p, _ = pols.(i) in
+      let k0, hs0, _ = transcript.(i) in
+      if k0 = key p && hs_repr_equal hs0 p.Cover.start_space then matching (i + 1)
+      else i
+    else i
+  in
+  let replayed = matching 0 in
+  let comps = components pols in
+  let run = reconcile pols ~replayed ~transcript in
+  let results =
+    match pool with
+    | Some pl when Sdn_parallel.Pool.domains pl > 1 -> Sdn_parallel.Pool.map pl run comps
+    | _ -> Array.map run comps
+  in
+  let out = Array.make nn None in
+  Array.iteri
+    (fun c (headers, queries, clauses) ->
+      Array.iteri (fun k i -> out.(i) <- headers.(k)) comps.(c);
+      Metrics.Counter.add c_queries queries;
+      Metrics.Counter.add c_clauses clauses)
+    results;
+  Metrics.Counter.add c_components (Array.length comps);
   (match memo with
   | Some m ->
       m.transcript <-

@@ -24,13 +24,14 @@ type policy =
           observed traffic. *)
 
 type memo
-(** Speculation cache for repeated [assign] calls over evolving covers
-    (the delta planning path). Maps a path's rule ids to its phase-1
-    unconstrained pick, which is a pure function of the start space;
-    entries are revalidated against the space's representation (same
-    cubes, same order) on every hit, so a warm call returns exactly
-    what a cold one would. Only consulted for the [Deterministic] and
-    [Sat_unique] policies — randomized draws are never cached.
+(** Transcript cache for repeated [assign] calls over evolving covers
+    (the delta planning path). Records every path's key, start space
+    and chosen header; the next call replays the longest prefix of its
+    cover whose keys and space representations (same cubes, same
+    order) match the transcript, and assigns the rest as usual, so a
+    warm call returns exactly what a cold one would. Only consulted for
+    the [Deterministic] and [Sat_unique] policies — randomized draws
+    are never cached.
 
     The [key] argument of {!assign} names a path for the memo (default:
     its [rules] vertex list). Vertex indices shift when entries are
@@ -52,14 +53,23 @@ val assign :
     distinct whenever the spaces admit it; if a space is exhausted the
     path reuses a duplicate header rather than being dropped.
 
-    Parallelism is {e speculative}: every path's header is first picked
-    with no distinctness constraint (in parallel under [pool]), then a
-    sequential reconciliation pass in path order accepts the pick or —
-    only when an earlier path already took it — re-runs the constrained
-    query. For [Sat_unique] the SAT solver's canonical
-    (lexicographically least) model makes this exactly the sequential
-    fold's output; randomized policies draw from per-path streams
-    seeded by [(master draw, path index)], so every policy's output is
+    The result is that of one pass over the paths in order: a path
+    keeps its unconstrained pick (for [Sat_unique], the first member of
+    its start space) unless an earlier path took it, and otherwise runs
+    the constrained query against the headers taken before it. For
+    [Sat_unique] that query asks the SAT solver for a header in each
+    cube of the start space in turn, distinct from the taken headers
+    inside that cube, newest first; the solver's answer depends on that
+    order (see {!Sat.Header_encoding.find_header}).
+
+    Every policy picks a header inside one of the path's start-space
+    cubes, so paths whose cubes never overlap, even through other
+    paths, cannot take each other's headers. [assign] splits the cover
+    into these components and runs each component's share of the pass
+    on its own, one task per component under [pool]. Each component
+    sees the taken headers, in the order, that the single pass would
+    show it; randomized policies draw from per-path streams seeded by
+    [(master draw, path index)]. So every policy's output is
     byte-identical for any domain count. *)
 
 val header_for_path :

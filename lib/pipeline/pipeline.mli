@@ -5,7 +5,7 @@
     graph incrementally to reduce overhead").
 
     A session owns the network, its rule graph, the current plan and a
-    header-speculation memo. {!apply} pushes one batch of edits through
+    header-assignment transcript memo. {!apply} pushes one batch of edits through
     all four stages — {!Rulegraph.Rule_graph.update} for the graph, a
     warm-cache cover re-solve, a memoized header assignment — and
     returns the new session plus a {!Sdnprobe.Plan.patch} describing
@@ -60,7 +60,7 @@ val apply_op : Openflow.Network.t -> Sdn_util.Edits.op -> int * int
 val apply : t -> Sdn_util.Edits.t -> t * Sdnprobe.Plan.patch
 (** Apply one batch atomically-in-intent: mutate the network, update
     the rule graph incrementally, re-solve the cover over retained
-    caches, re-assign headers through the speculation memo, and diff
+    caches, re-assign headers through the transcript memo, and diff
     the plans. The patch carries the batch itself as provenance.
 
     The input session must not be used afterwards: the network is

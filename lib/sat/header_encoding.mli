@@ -34,7 +34,19 @@ val find_header :
 (** [find_header ~avoid ~distinct_from ~inside len] solves for a
     concrete [len]-bit header that lies inside {e every} cube of
     [inside], outside every cube of [avoid], and differs from every
-    header in [distinct_from]. [None] when unsatisfiable. *)
+    header in [distinct_from]. [None] when unsatisfiable. Every cube and
+    header must have length [len] ([Invalid_argument] otherwise).
+
+    The answer is {!find_header_certified}'s, bit for bit: the bits
+    [inside] fixes are evaluated before the solver starts, and only the
+    free bits become variables. It is not in general the least
+    satisfying header. When the first member
+    ({!Hspace.Cube.first_member}) of the intersection of [inside] is
+    neither in [distinct_from] nor in an [avoid] cube, no clause can
+    conflict, and the search returns that first member. Otherwise
+    conflict learning, VSIDS bumps, phase saving and restarts steer it,
+    so the answer depends on the order of [distinct_from], not only on
+    its set. *)
 
 val find_rule_input : match_:Hspace.Cube.t -> overlaps:Hspace.Cube.t list -> Hspace.Header.t option
 (** The paper's §V-A query: a header matching [match_] but none of the

@@ -303,7 +303,7 @@ let analyze t confl =
 
 (* Install a learnt clause after backjumping and assert its first literal. *)
 let record_learnt t lits =
-  log_step t (Array.to_list (Array.map dimacs_of_lit lits));
+  if proof_logging t then log_step t (Array.to_list (Array.map dimacs_of_lit lits));
   if Array.length lits = 1 then enqueue t lits.(0) (-1)
   else begin
     let best = ref 1 in
@@ -325,61 +325,65 @@ let refute t =
     log_step t []
   end
 
-let add_clause t dimacs_lits =
+let add_clause_array t dimacs =
   (* The proof log keeps the clause verbatim even when the solver is
      already refuted (or about to drop it): the checker's database must
      be the clauses the caller stated, not the solver's view of them. *)
   (match t.log with
-  | Some l -> l.problem <- dimacs_lits :: l.problem
+  | Some l -> l.problem <- Array.to_list dimacs :: l.problem
   | None -> ());
   if not t.unsat then begin
-    List.iter (fun l -> ensure_var t (abs l)) dimacs_lits;
-    let lits = List.map lit_of_dimacs dimacs_lits in
+    Array.iter (fun l -> ensure_var t (abs l)) dimacs;
     assert (decision_level t = 0);
     (* Level-0 simplification: drop falsified and duplicate literals;
        detect tautologies and already-satisfied clauses. Duplicate
        tracking marks literals in an epoch-stamped scratch array —
        clauses arrive by the hundred thousand on big covers, and a
        per-clause allocated set was the dominant cost of header
-       assignment (docs/PERF.md). *)
+       assignment (docs/PERF.md). Kept literals fill [kept] from the
+       back, so [kept.(n - k ..)] holds them last-kept first: the
+       clause's literal order, which the watches and hence the search
+       depend on. *)
     t.simp_epoch <- t.simp_epoch + 1;
     let epoch = t.simp_epoch in
-    let rec simplify acc = function
-      | [] -> Some acc
-      | l :: rest ->
-          if t.simp_mark.(neg l) = epoch || value_lit t l = 1 then None
-          else if t.simp_mark.(l) = epoch || value_lit t l = 0 then
-            simplify acc rest
-          else begin
-            t.simp_mark.(l) <- epoch;
-            simplify (l :: acc) rest
-          end
-    in
+    let n = Array.length dimacs in
+    let kept = Array.make n 0 in
+    let k = ref 0 and satisfied = ref false and i = ref 0 in
+    while (not !satisfied) && !i < n do
+      let l = lit_of_dimacs dimacs.(!i) in
+      if t.simp_mark.(neg l) = epoch || value_lit t l = 1 then satisfied := true
+      else if t.simp_mark.(l) <> epoch && value_lit t l <> 0 then begin
+        t.simp_mark.(l) <- epoch;
+        incr k;
+        kept.(n - !k) <- l
+      end;
+      incr i
+    done;
     t.nproblem <- t.nproblem + 1;
-    (* Strengthened clauses (literals dropped by the simplifier) are RUP
-       against the database — duplicates negate to the same assignment,
-       and level-0-falsified literals are re-derived by the checker's own
-       propagation — so they are sound DRUP steps. Logging them keeps the
-       checker's database in sync with the clauses the solver actually
-       resolves on. *)
-    let log_strengthened ls =
-      if List.compare_lengths ls dimacs_lits <> 0 then
-        log_step t (List.rev_map dimacs_of_lit ls)
-    in
-    match simplify [] lits with
-    | None -> ()
-    | Some [] -> refute t
-    | Some [ l ] ->
-        log_strengthened [ l ];
-        enqueue t l (-1);
-        if propagate t >= 0 then refute t
-    | Some ls ->
-        log_strengthened ls;
-        let arr = Array.of_list ls in
-        let cid = push_clause t { lits = arr; learnt = false } in
-        watch t arr.(0) cid;
-        watch t arr.(1) cid
+    if not !satisfied then begin
+      let k = !k in
+      let lits = if k = n then kept else Array.sub kept (n - k) k in
+      (* Strengthened clauses (literals dropped by the simplifier) are
+         RUP against the database — duplicates negate to the same
+         assignment, and level-0-falsified literals are re-derived by
+         the checker's own propagation — so they are sound DRUP steps.
+         Logging them keeps the checker's database in sync with the
+         clauses the solver actually resolves on. *)
+      if k > 0 && k < n then
+        log_step t (List.rev (Array.to_list (Array.map dimacs_of_lit lits)));
+      match k with
+      | 0 -> refute t
+      | 1 ->
+          enqueue t lits.(0) (-1);
+          if propagate t >= 0 then refute t
+      | _ ->
+          let cid = push_clause t { lits; learnt = false } in
+          watch t lits.(0) cid;
+          watch t lits.(1) cid
+    end
   end
+
+let add_clause t dimacs_lits = add_clause_array t (Array.of_list dimacs_lits)
 
 (* Unassigned variable with maximal activity. Linear scan: instances in
    this reproduction are tiny, so a binary heap is not worth the code. *)

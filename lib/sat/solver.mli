@@ -40,6 +40,10 @@ val add_clause : t -> int list -> unit
     Unsat. Variables referenced beyond [nvars] are allocated
     automatically. *)
 
+val add_clause_array : t -> int array -> unit
+(** {!add_clause} with the literals in an array, which the solver does
+    not keep: the same clause, without the list. *)
+
 val solve : ?assumptions:int list -> t -> result
 (** Decide satisfiability under the optional assumptions. The returned
     model covers all allocated variables. The solver state remains

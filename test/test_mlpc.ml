@@ -270,6 +270,146 @@ let test_paper_header_space () =
     (Hs.equal_sets target.Cover.start_space (Hs.of_cubes 8 [ Cube.of_string "00101xxx" ]))
 
 (* ------------------------------------------------------------------ *)
+(* Per-component assignment against one sequential pass *)
+
+(* The oracle for [Sat_unique] is Certify.sat_section's fold: every path
+   in order, the reference (verbatim) encoding against the whole seen
+   list, each cube of the start space tried in order, the first member
+   as the last resort. No components, buckets or first-member shortcut. *)
+let oracle_sat_unique (cover : Cover.t) =
+  let _, out =
+    List.fold_left
+      (fun (seen, acc) (p : Cover.path) ->
+        let hs = p.Cover.start_space in
+        let h =
+          match
+            List.find_map
+              (fun cube ->
+                (Sat.Header_encoding.find_header_certified ~distinct_from:seen
+                   ~inside:[ cube ] (Cube.length cube))
+                  .Sat.Header_encoding.header)
+              (Hs.cubes hs)
+          with
+          | Some h -> Some h
+          | None -> Option.map Header.of_cube (Hs.first_member hs)
+        in
+        match h with Some h -> (h :: seen, h :: acc) | None -> (seen, acc))
+      ([], []) cover.Cover.paths
+  in
+  List.rev out
+
+(* The oracle for [Random]: path [i] draws from its own stream, seeded
+   by one master draw and [i]; its first draw stands unless an earlier
+   path took it, and then it keeps drawing, up to 64 retries, against
+   the whole seen list. *)
+let oracle_random master (cover : Cover.t) =
+  let salt = Prng.bits64 master in
+  let stream i =
+    Prng.create
+      (Int64.to_int (Int64.add salt (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)))
+  in
+  let draw rng ~taken hs =
+    let rec loop attempts =
+      match Hs.sample rng hs with
+      | None -> None
+      | Some c ->
+          let h = Header.of_cube c in
+          if taken h && attempts < 64 then loop (attempts + 1) else Some h
+    in
+    loop 0
+  in
+  let _, out =
+    List.fold_left
+      (fun (i, (seen, acc)) (p : Cover.path) ->
+        let rng = stream i and hs = p.Cover.start_space in
+        let taken h = List.exists (Header.equal h) seen in
+        let h =
+          match draw rng ~taken:(fun _ -> false) hs with
+          | Some h when not (taken h) -> Some h
+          | Some _ -> draw rng ~taken hs
+          | None -> None
+        in
+        (i + 1, match h with Some h -> (h :: seen, h :: acc) | None -> (seen, acc)))
+      (0, ([], []))
+      cover.Cover.paths
+  in
+  List.rev (snd out)
+
+(* Start spaces of 1-3 cubes, each a prefix (2 bits to the full length)
+   of one of a few base addresses: cubes nest, overlap within a base,
+   and the longest prefixes leave single-member spaces that exhaust. *)
+let random_cover rng ~len ~n ~first_rule =
+  let bases = Array.init (Prng.int_in rng 1 5) (fun _ -> Array.init len (fun _ -> Prng.bool rng)) in
+  let prefix () =
+    let b = Prng.choose rng bases and plen = Prng.int_in rng 2 len in
+    Cube.of_bits
+      (Array.init len (fun k ->
+           if k >= plen then Cube.Any else if b.(k) then Cube.One else Cube.Zero))
+  in
+  List.init n (fun i ->
+      let cubes = List.init (Prng.int_in rng 1 3) (fun _ -> prefix ()) in
+      { Cover.vertices = [ first_rule + i ]; rules = [ first_rule + i ]; start_space = Hs.of_cubes len cubes })
+
+let headers_equal expected got =
+  List.compare_lengths expected got = 0
+  && List.for_all2 (fun h (_, g) -> Header.equal h g) expected got
+
+let pools = [ None; Some (Sdn_parallel.pool ~domains:2); Some (Sdn_parallel.pool ~domains:4) ]
+
+let seed_arb = QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.(int_bound 1_000_000)
+
+let prop_components_sat_unique =
+  QCheck.Test.make ~name:"Sat_unique by component = global pass" ~count:150 seed_arb
+    (fun seed ->
+      let rng = Prng.create seed in
+      let len = Prng.int_in rng 4 10 in
+      let cover =
+        { Cover.paths = random_cover rng ~len ~n:(Prng.int_in rng 1 40) ~first_rule:0; untestable = [] }
+      in
+      let expected = oracle_sat_unique cover in
+      List.for_all
+        (fun pool -> headers_equal expected (Headers.assign ?pool Headers.Sat_unique cover))
+        pools)
+
+let prop_components_random =
+  QCheck.Test.make ~name:"Random by component = global pass" ~count:150 seed_arb
+    (fun seed ->
+      let rng = Prng.create seed in
+      let len = Prng.int_in rng 4 10 in
+      let cover =
+        { Cover.paths = random_cover rng ~len ~n:(Prng.int_in rng 1 40) ~first_rule:0; untestable = [] }
+      in
+      let expected = oracle_random (Prng.create seed) cover in
+      List.for_all
+        (fun pool ->
+          headers_equal expected (Headers.assign ?pool (Headers.Random (Prng.create seed)) cover))
+        pools)
+
+(* A warm memo replays the prefix that still matches and recomputes
+   the rest; the result is the cold call's. *)
+let prop_components_memo =
+  QCheck.Test.make ~name:"memo replay by component = cold call" ~count:100 seed_arb
+    (fun seed ->
+      let rng = Prng.create seed in
+      let len = Prng.int_in rng 4 10 in
+      let n = Prng.int_in rng 1 30 in
+      let before = random_cover rng ~len ~n ~first_rule:0 in
+      let keep = Prng.int rng (n + 1) in
+      let after =
+        List.filteri (fun i _ -> i < keep) before
+        @ random_cover rng ~len ~n:(Prng.int_in rng 0 30) ~first_rule:(if Prng.bool rng then keep else 1000)
+      in
+      let after = { Cover.paths = after; untestable = [] } in
+      let expected = oracle_sat_unique after in
+      List.for_all
+        (fun pool ->
+          let memo = Headers.memo_create () in
+          ignore (Headers.assign ?pool ~memo Headers.Sat_unique { Cover.paths = before; untestable = [] });
+          headers_equal expected (Headers.assign ?pool ~memo Headers.Sat_unique after)
+          && headers_equal expected (Headers.assign ?pool Headers.Sat_unique after))
+        pools)
+
+(* ------------------------------------------------------------------ *)
 (* Traffic profiles (§V-C sFlow sampling) *)
 
 let test_traffic_of_samples () =
@@ -353,6 +493,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_headers_deterministic;
           Alcotest.test_case "sat unique" `Quick test_headers_sat_unique;
           Alcotest.test_case "random" `Quick test_headers_random;
+          QCheck_alcotest.to_alcotest prop_components_sat_unique;
+          QCheck_alcotest.to_alcotest prop_components_random;
+          QCheck_alcotest.to_alcotest prop_components_memo;
         ] );
       ( "traffic",
         [

@@ -233,6 +233,105 @@ let prop_find_matches_hs =
       | Some h -> Hs.mem (h :> Cube.t) hs
       | None -> Hs.is_empty hs)
 
+(* Bucket order is part of find_header's contract: the same blocking
+   set in another order steers the CDCL search to another header. Not
+   the least free header either — that would be 010 both times. *)
+let test_distinct_order_matters () =
+  let h = Hspace.Header.of_string in
+  let inside = [ Cube.of_string "xxx" ] in
+  let answer distinct_from =
+    Option.map Hspace.Header.to_string (HE.find_header ~distinct_from ~inside 3)
+  in
+  Alcotest.(check (option string)) "[001; 000]" (Some "011") (answer [ h "001"; h "000" ]);
+  Alcotest.(check (option string)) "[000; 001]" (Some "010") (answer [ h "000"; h "001" ])
+
+(* Random header-selection instances, built from a seed so a failure
+   prints something reproducible. [len] runs 3-70 (across the 62-bit
+   chunk boundary) and the inside cube has 0-10 free bits. The
+   distinct-from list mixes in-cube members, in random order and
+   sometimes all of them (an exhausted cube), with headers outside
+   the cube, as Certify passes them. *)
+type instance = {
+  len : int;
+  inside : Cube.t list;
+  avoid : Cube.t list;
+  distinct_from : Hspace.Header.t list;
+}
+
+let random_header rng len =
+  Hspace.Header.of_cube
+    (Cube.of_bits (Array.init len (fun _ -> if Prng.bool rng then Cube.One else Cube.Zero)))
+
+(* A cube with exactly [nfree] wildcards. *)
+let cube_with_free rng len nfree =
+  let free = Prng.sample_without_replacement rng nfree len in
+  Cube.of_bits
+    (Array.init len (fun k ->
+         if List.mem k free then Cube.Any else if Prng.bool rng then Cube.One else Cube.Zero))
+
+let members cube =
+  let nfree = Cube.wildcard_count cube in
+  List.init (1 lsl nfree) (fun k -> Hspace.Header.of_cube (Cube.nth_member cube k))
+
+let instance ?(extras = true) seed =
+  let rng = Prng.create seed in
+  let len = Prng.int_in rng 3 70 in
+  let cube = cube_with_free rng len (Prng.int rng (min 10 len + 1)) in
+  let all = Array.of_list (members cube) in
+  Prng.shuffle rng all;
+  let n_in =
+    if Prng.int rng 4 = 0 then Array.length all
+    else Prng.int rng (min 40 (Array.length all) + 1)
+  in
+  let outside =
+    List.init (Prng.int rng 6) (fun _ ->
+        (* Half of them one fixed bit away from the cube. *)
+        let h = random_header rng len in
+        if Prng.bool rng || Cube.wildcard_count cube = len then h
+        else
+          let fixed =
+            List.filter (fun k -> Cube.get cube k <> Cube.Any) (List.init len Fun.id)
+          in
+          let k = Prng.choose_list rng fixed in
+          Hspace.Header.of_cube
+            (Cube.set (Cube.first_member cube) k
+               (if Cube.get cube k = Cube.One then Cube.Zero else Cube.One)))
+  in
+  let distinct_from =
+    Prng.shuffle_list rng (Array.to_list (Array.sub all 0 n_in) @ outside)
+  in
+  let inside =
+    if extras && Prng.int rng 3 = 0 then [ cube; Cube.random rng ~wildcard_prob:0.8 len ]
+    else [ cube ]
+  in
+  let avoid =
+    if extras then List.init (Prng.int rng 3) (fun _ -> Cube.random rng ~wildcard_prob:0.85 len)
+    else []
+  in
+  { len; inside; avoid; distinct_from }
+
+let seed_arb = QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.(int_bound 1_000_000)
+
+let prop_free_bit_encoding_is_reference =
+  QCheck.Test.make ~name:"find_header = find_header_certified" ~count:400 seed_arb
+    (fun seed ->
+      let { len; inside; avoid; distinct_from } = instance seed in
+      Option.equal Hspace.Header.equal
+        (HE.find_header ~avoid ~distinct_from ~inside len)
+        (HE.find_header_certified ~avoid ~distinct_from ~inside len).HE.header)
+
+let prop_untaken_first_member =
+  QCheck.Test.make ~name:"untaken first member comes back" ~count:400 seed_arb
+    (fun seed ->
+      let { len; inside; distinct_from; _ } = instance ~extras:false seed in
+      let first = Hspace.Header.of_cube (Cube.first_member (List.hd inside)) in
+      let distinct_from =
+        List.filter (fun h -> not (Hspace.Header.equal h first)) distinct_from
+      in
+      Option.equal Hspace.Header.equal
+        (HE.find_header ~distinct_from ~inside len)
+        (Some first))
+
 let () =
   Alcotest.run "sat"
     [
@@ -257,5 +356,9 @@ let () =
           Alcotest.test_case "unique headers" `Quick test_unique_headers;
           Alcotest.test_case "avoid cubes" `Quick test_avoid_cubes;
           QCheck_alcotest.to_alcotest prop_find_matches_hs;
+          Alcotest.test_case "distinct-from order matters" `Quick
+            test_distinct_order_matters;
+          QCheck_alcotest.to_alcotest prop_free_bit_encoding_is_reference;
+          QCheck_alcotest.to_alcotest prop_untaken_first_member;
         ] );
     ]
