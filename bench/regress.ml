@@ -112,7 +112,7 @@ let randomized w () =
    certification hooks (PR 4) stay free when unused. *)
 let headers_assign w () = ignore (Mlpc.Headers.assign Mlpc.Headers.Sat_unique w.cover)
 
-let yen_k8 ?pool w =
+let yen_k8 w =
   let g = Openflow.Topology.to_digraph w.topo in
   let n = Sdngraph.Digraph.n_vertices g in
   let rng = Sdn_util.Prng.create 7 in
@@ -122,21 +122,11 @@ let yen_k8 ?pool w =
         let d = Sdn_util.Prng.int rng n in
         (s, (if d = s then (d + 1) mod n else d)))
   in
-  fun () -> ignore (Sdngraph.Yen.k_shortest_pairs ?pool g ~pairs ~k:8)
+  fun () ->
+    List.iter (fun (src, dst) -> ignore (Sdngraph.Yen.k_shortest g ~src ~dst ~k:8)) pairs
 
-(* Parallel (/par4) variants of the four planning stages, through the
-   same public entry points the pipeline uses with [Config.pool]. *)
-
-let space_queries_par w pool () =
-  invalidate w.rg;
-  for _ = 1 to 3 do
-    ignore (RG.spaces ~pool w.rg w.cover_paths)
-  done
-
-let solve_par w pool () =
-  invalidate w.rg;
-  ignore (Mlpc.Legal_matching.solve ~pool w.rg)
-
+(* The parallel (/par4) variant of header assignment, through the same
+   public entry point the pipeline uses with [Config.pool]. *)
 let headers_assign_par w pool () =
   ignore (Mlpc.Headers.assign ~pool Mlpc.Headers.Sat_unique w.cover)
 
@@ -254,8 +244,8 @@ let micro_tests () =
       (String.concat "" (List.init 80 (fun i -> if i mod 7 = 0 then "0x10x1xx" else "00101xx1")))
   in
   (* Constructors are the only interning sites since the selective-
-     interning fix; this micro is what distinguishes the sharded and
-     domain-local table backends (SDNPROBE_INTERN, docs/PARALLEL.md). *)
+     interning fix; this micro tracks the price of the sharded table's
+     lock and probe (docs/PARALLEL.md). *)
   let bits =
     Array.init 64 (fun i ->
         if i mod 7 = 0 then Hspace.Cube.Any
@@ -345,10 +335,7 @@ let entries ~scales =
       (fun (scale, w) ->
         let runs = runs_of scale in
         [
-          (Printf.sprintf "rulegraph.spaces/%d/par4" scale, time_ns ~runs (space_queries_par w pool));
-          (Printf.sprintf "mlpc.solve/%d/par4" scale, time_ns ~runs (solve_par w pool));
           (Printf.sprintf "headers.assign/%d/par4" scale, time_ns ~runs (headers_assign_par w pool));
-          (Printf.sprintf "yen.k8/%d/par4" scale, time_ns ~runs (yen_k8 ~pool w));
           (Printf.sprintf "runner.round10/%d/par4" scale, time_ns ~runs (runner_rounds w ~domains:4));
         ])
       ws

@@ -102,7 +102,7 @@ let resolve_network ~switches ~seed = function
    already resolves it through Config; these direct planning callers
    must resolve it themselves. *)
 let env_pool () =
-  if Sdn_parallel.default_domains () > 1 then Some (Sdn_parallel.default_pool ())
+  if Sdn_parallel.env_domains () > 1 then Some (Sdn_parallel.default_pool ())
   else None
 
 (* Sharded planning (docs/SHARD.md), shared by plan and detect. *)
@@ -1168,7 +1168,7 @@ let verify_cmd =
         match bad with
         | msg :: _ -> `Error (false, msg)
         | [] ->
-            let engine = Verify.Engine.create ?pool:(env_pool ()) net in
+            let engine = Verify.Engine.create net in
             let report = ref (Verify.Engine.check engine invariants) in
             let churn_desc = ref None in
             let churn =

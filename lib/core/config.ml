@@ -27,7 +27,7 @@ let make ?(threshold = 3) ?(send_rate_bytes_per_s = 250_000) ?(probe_size_bytes 
     ?(per_hop_latency_us = 500) ?(per_round_overhead_us = 50_000) ?(max_rounds = 200)
     ?(max_retries = 0) ?(retry_backoff_us = 10_000) ?(backoff_factor = 2)
     ?(timeout_base_us = 20_000) ?(timeout_per_hop_us = 2_000) ?(suspicion_decay = 0)
-    ?(domains = Sdn_parallel.default_domains ()) ?(backend = Emulator) () =
+    ?(domains = Sdn_parallel.env_domains ()) ?(backend = Emulator) () =
   positive "threshold" threshold;
   positive "send_rate_bytes_per_s" send_rate_bytes_per_s;
   positive "probe_size_bytes" probe_size_bytes;

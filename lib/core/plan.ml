@@ -24,7 +24,7 @@ let probes_of_assignment net rg assigned =
    and [redraw] differ only in where the rule graph comes from; [t0]
    is when generation started, so [randomized] counts the build too. *)
 let draw ?pool ~t0 rng network rulegraph =
-  let cover = Mlpc.Legal_matching.randomized ?pool rng rulegraph in
+  let cover = Mlpc.Legal_matching.randomized rng rulegraph in
   let probes =
     probes_of_assignment network rulegraph
       (Mlpc.Headers.assign ?pool (Mlpc.Headers.Random rng) cover)

@@ -27,8 +27,8 @@ type t = {
 val randomized : ?pool:Sdn_parallel.Pool.t -> Sdn_util.Prng.t -> Openflow.Network.t -> t
 (** A Randomized SDNProbe plan: build the rule graph, then draw a
     randomized greedy legal matching and uniform headers from [rng].
-    With [pool] the matching's legality warm-up and the header draw run
-    in parallel; the plan is byte-identical for any domain count. Raises
+    With [pool] the header draw runs one task per start-space
+    component; the plan is byte-identical for any domain count. Raises
     {!Rulegraph.Rule_graph.Cyclic_policy} on looping policies.
 
     Static plans (minimum cover, [Sat_unique] headers) come from

@@ -24,9 +24,9 @@ let workspace g =
   }
 
 (* One cached workspace per domain, keyed by the graph it was built for
-   (physical equality): parallel Yen runs one task per (src, dst) pair,
-   and every task on a domain reuses that domain's scratch arrays
-   instead of allocating fresh ones per pair. *)
+   (physical equality): successive Yen calls on one graph reuse the
+   domain's work arrays instead of allocating fresh ones per pair, and
+   a call from any other domain never shares them. *)
 let ws_key : workspace option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

@@ -32,9 +32,9 @@ val workspace : Digraph.t -> workspace
 
 val local_workspace : Digraph.t -> workspace
 (** The calling {e domain}'s cached workspace for [g] (built on first
-    use, or when the domain last used a different graph). Lets each
-    worker of a parallel Yen batch reuse one scratch allocation across
-    all its tasks. The caveats of {!dijkstra_ws} apply, plus: the
+    use, or when the domain last used a different graph). Lets
+    successive Yen calls on one graph reuse one workspace allocation.
+    The caveats of {!dijkstra_ws} apply, plus: the
     returned workspace must not outlive the current task — any later
     [local_workspace] call on this domain may reuse its arrays. *)
 

@@ -96,13 +96,3 @@ let k_shortest g ~src ~dst ~k =
               if !n_accepted >= k then continue := false)
         done;
         List.rev_map Array.to_list !accepted
-
-(* All-pairs enumeration, one task per (src, dst) pair. Each call of
-   [k_shortest] is self-contained apart from the domain-local Dijkstra
-   workspace, so tasks are pure per element and the pool's input-order
-   join makes the batch bit-for-bit equal to the sequential map. *)
-let k_shortest_pairs ?pool g ~pairs ~k =
-  let one (src, dst) = k_shortest g ~src ~dst ~k in
-  match pool with
-  | Some p when Sdn_parallel.Pool.domains p > 1 -> Sdn_parallel.Pool.map_list p one pairs
-  | _ -> List.map one pairs

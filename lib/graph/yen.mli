@@ -11,18 +11,6 @@ val k_shortest : Digraph.t -> src:int -> dst:int -> k:int -> int list list
     non-decreasing weight order. Fewer than [k] results when the graph
     does not contain that many distinct loopless paths. *)
 
-val k_shortest_pairs :
-  ?pool:Sdn_parallel.Pool.t ->
-  Digraph.t ->
-  pairs:(int * int) list ->
-  k:int ->
-  int list list list
-(** [k_shortest] for every [(src, dst)] pair, results in input order.
-    With a pool of two or more domains the pairs are enumerated in
-    parallel — each worker reuses a domain-local Dijkstra workspace
-    ({!Shortest_path.local_workspace}) — and the output is identical to
-    the sequential map for any domain count. *)
-
 val path_weight : Digraph.t -> int list -> float
 (** Total weight of a vertex sequence. Raises [Invalid_argument] if a
     listed edge is absent. *)

@@ -32,16 +32,9 @@ let nchunks len = (len + chunk_bits - 1) / chunk_bits
    structural fallback, so correctness never depends on identity.
 
    The table itself must be domain-safe (the planning stages run cube
-   algebra from a domain pool, see docs/PARALLEL.md). Two backends,
-   selected once at startup via SDNPROBE_INTERN:
-
-   - "sharded" (default): 16 weak tables, each behind its own mutex,
-     picked by cube hash — cross-domain sharing, one uncontended
-     lock/unlock per intern;
-   - "local": one weak table per domain in domain-local storage — no
-     locks, but cubes interned on different domains are distinct
-     physical objects (structural equality still holds, so outputs are
-     unaffected; only [==] fast-path hit rates differ). *)
+   algebra from a domain pool, see docs/PARALLEL.md): 16 weak tables,
+   each behind its own mutex, picked by cube hash — cross-domain
+   sharing, one uncontended lock/unlock per intern. *)
 
 let hash c =
   let mix h x =
@@ -65,16 +58,6 @@ module Intern = Weak.Make (struct
   let hash = hash
 end)
 
-type intern_mode = Sharded | Domain_local
-
-let intern_mode =
-  match Sys.getenv_opt "SDNPROBE_INTERN" with
-  | Some "local" -> Domain_local
-  | Some "sharded" | Some "" | None -> Sharded
-  | Some other ->
-      Printf.eprintf "SDNPROBE_INTERN=%s ignored (want sharded|local)\n%!" other;
-      Sharded
-
 let n_shards = 16 (* power of two: shard index is a hash mask *)
 
 type shard = { sm : Mutex.t; tbl : Intern.t }
@@ -84,30 +67,21 @@ type shard = { sm : Mutex.t; tbl : Intern.t }
 let shards =
   Array.init n_shards (fun _ -> { sm = Mutex.create (); tbl = Intern.create 1024 })
 
-let local_table : Intern.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Intern.create 1024)
-
 let intern c =
-  match intern_mode with
-  | Domain_local -> Intern.merge (Domain.DLS.get local_table) c
-  | Sharded ->
-      let s = shards.(hash c land (n_shards - 1)) in
-      Mutex.lock s.sm;
-      let c = Intern.merge s.tbl c in
-      Mutex.unlock s.sm;
-      c
+  let s = shards.(hash c land (n_shards - 1)) in
+  Mutex.lock s.sm;
+  let c = Intern.merge s.tbl c in
+  Mutex.unlock s.sm;
+  c
 
 let interned_count () =
-  match intern_mode with
-  | Domain_local -> Intern.count (Domain.DLS.get local_table)
-  | Sharded ->
-      Array.fold_left
-        (fun acc s ->
-          Mutex.lock s.sm;
-          let n = Intern.count s.tbl in
-          Mutex.unlock s.sm;
-          acc + n)
-        0 shards
+  Array.fold_left
+    (fun acc s ->
+      Mutex.lock s.sm;
+      let n = Intern.count s.tbl in
+      Mutex.unlock s.sm;
+      acc + n)
+    0 shards
 
 (* Mask selecting the valid bits of the last chunk. *)
 let tail_mask len =

@@ -24,9 +24,8 @@
     regression); {!equal} falls back to a structural comparison, so no
     correctness depends on identity. The intern table holds entries
     weakly (the GC reclaims unreferenced cubes) and is domain-safe:
-    sharded mutex-guarded tables by default, or one table per domain
-    with [SDNPROBE_INTERN=local] (see docs/PARALLEL.md for the
-    tradeoff). *)
+    16 mutex-guarded shards picked by cube hash (see
+    docs/PARALLEL.md). *)
 
 type t
 
@@ -71,8 +70,7 @@ val hash : t -> int
 
 val interned_count : unit -> int
 (** Number of cubes currently alive in the intern table (weak count —
-    shrinks under GC; under [SDNPROBE_INTERN=local], the calling
-    domain's table only). Exposed for metrics and tests. *)
+    shrinks under GC). Exposed for metrics and tests. *)
 
 val is_concrete : t -> bool
 (** True when no position is a wildcard. *)

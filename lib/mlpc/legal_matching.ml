@@ -108,30 +108,8 @@ let rec try_augment st visited u =
   in
   try_candidates st.adj.(u)
 
-(* Parallel pre-pass: the augmentation search itself is inherently
-   sequential (every splice decision depends on the matching so far),
-   but every [legal_claim] bottoms out in [RG.injection_plan] over some
-   chain, and the rule graph's start-space cache is keyed on path
-   {e suffixes}. Warming the cache with every candidate 2-chain
-   [u -> v] therefore precomputes exactly the suffix spaces the deep
-   chains of the search will extend — the sequential phase then runs
-   almost entirely on cache hits. Cache contents are a pure function of
-   the keys, so warming cannot change any answer, only when it is
-   computed. *)
-let warm_claims ?pool rg adj =
-  match pool with
-  | None -> ()
-  | Some p when Sdn_parallel.Pool.domains p = 1 -> ()
-  | Some _ ->
-      let pairs = ref [] in
-      Array.iteri
-        (fun u vs -> List.iter (fun v -> pairs := RG.expand_path rg [ u; v ] :: !pairs) vs)
-        adj;
-      RG.warm_injection ?pool rg (List.rev !pairs)
-
-let solve_successors ?pool rg =
+let solve_successors rg =
   let st = make_state rg in
-  warm_claims ?pool rg st.adj;
   let n = RG.n_vertices rg in
   (* Passes until fixpoint: a legality-induced rollback in one pass can
      be unlocked by a later augmentation. *)
@@ -147,11 +125,10 @@ let solve_successors ?pool rg =
   done;
   st.succ
 
-let solve ?pool rg = Cover.of_successors rg ~succ:(solve_successors ?pool rg)
+let solve rg = Cover.of_successors rg ~succ:(solve_successors rg)
 
-let randomized ?pool ?(dropout = 0.15) rng rg =
+let randomized ?(dropout = 0.15) rng rg =
   let st = make_state rg in
-  warm_claims ?pool rg st.adj;
   let n = RG.n_vertices rg in
   let edges =
     Array.of_list

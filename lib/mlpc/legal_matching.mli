@@ -17,19 +17,16 @@
     brute-force minima on randomized small instances — see the test
     suite). *)
 
-val solve : ?pool:Sdn_parallel.Pool.t -> Rulegraph.Rule_graph.t -> Cover.t
-(** Minimum legal path cover via legal augmenting paths. With [pool],
-    the edge-legality spaces every splice decision reads are warmed in
-    parallel first ({!Rulegraph.Rule_graph.warm_injection} over all
-    candidate 2-chains — the suffix-keyed cache then serves the deep
-    chains too); the augmentation search itself stays sequential, so
-    the cover is identical for any domain count. *)
+val solve : Rulegraph.Rule_graph.t -> Cover.t
+(** Minimum legal path cover via legal augmenting paths. The search is
+    sequential: each splice decision depends on the matching so far.
+    Legality claims fill the rule graph's caches lazily, so a chain's
+    suffix spaces are computed once, when the search first asks. *)
 
-val solve_successors : ?pool:Sdn_parallel.Pool.t -> Rulegraph.Rule_graph.t -> int array
+val solve_successors : Rulegraph.Rule_graph.t -> int array
 (** The raw successor function, for callers that post-process chains. *)
 
 val randomized :
-  ?pool:Sdn_parallel.Pool.t ->
   ?dropout:float ->
   Sdn_util.Prng.t ->
   Rulegraph.Rule_graph.t ->

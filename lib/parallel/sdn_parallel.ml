@@ -1,8 +1,7 @@
 module Pool = Pool
 module Ownership = Ownership
 
-(* Process-wide degree of parallelism. Resolution order: an explicit
-   [set_default_domains], else the SDNPROBE_DOMAINS environment
+(* Process-wide degree of parallelism: the SDNPROBE_DOMAINS environment
    variable, else 1 — so every entry point (CLI, tests, benches) is
    sequential unless asked otherwise, and a single env var switches the
    whole pipeline over (e.g. [SDNPROBE_DOMAINS=4 dune runtest]). *)
@@ -16,17 +15,6 @@ let env_domains () =
       | _ ->
           Printf.eprintf "SDNPROBE_DOMAINS=%s ignored (want an int in [1, 128])\n%!" s;
           1)
-
-(* sdncheck: allow D005 — written only by set_default_domains before
-   any pool exists (test setup); pooled closures never touch it *)
-let override = ref None
-
-let default_domains () =
-  match !override with Some n -> n | None -> env_domains ()
-
-let set_default_domains n =
-  if n < 1 || n > 128 then invalid_arg "set_default_domains: outside [1, 128]";
-  override := Some n
 
 (* One cached pool per size, shut down at exit (worker domains block on
    a condition variable; the runtime joins every domain before the
@@ -60,4 +48,4 @@ let pool ~domains =
   Mutex.unlock pools_m;
   p
 
-let default_pool () = pool ~domains:(default_domains ())
+let default_pool () = pool ~domains:(env_domains ())

@@ -26,7 +26,7 @@ let entry_key rg (p : Mlpc.Cover.path) =
 
 let plan_of ?pool ~memo net rg =
   let t0 = Sdn_util.Mono.now_s () in
-  let cover = Mlpc.Legal_matching.solve ?pool rg in
+  let cover = Mlpc.Legal_matching.solve rg in
   let assigned =
     Mlpc.Headers.assign ?pool ~memo ~key:(entry_key rg) Mlpc.Headers.Sat_unique
       cover

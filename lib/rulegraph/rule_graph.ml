@@ -24,16 +24,10 @@ exception Cyclic_policy of int list
    Hit/miss totals feed both the per-graph [cache_stats] and the global
    {!Metrics.Counter} registry.
 
-   Concurrency: the shared tables are plain [Hashtbl]s, so they are
-   never written from pool workers. Batch queries ({!spaces},
-   {!warm_injection}) give each task a {e view} — reads check a
-   task-local table first, then the shared one (frozen for the duration
-   of the batch); writes go to the local table only. After the
-   deterministic input-order join the local tables are merged back into
-   the shared ones. Every cached value is a pure function of its key,
-   so merge order cannot change cache contents — only the hit/miss
-   tallies vary with the domain count (two tasks may both miss a key
-   the sequential fold would compute once). *)
+   Concurrency: the tables are plain [Hashtbl]s, written only by the
+   domain that built the graph. No query runs on a pool; a sharded
+   plan builds and queries each region's graph inside one task, so
+   its caches never cross domains. *)
 type stats = { mutable hits : int; mutable misses : int }
 
 type caches = {
@@ -45,13 +39,11 @@ type caches = {
          chain — the MLPC solvers' claim shape. One short-list lookup
          replaces prefix expansion (witness walks, concatenation) plus
          the inject query, which is what the warm re-solve of the delta
-         planning path spends its time on. Sequential-only: claims are
-         issued by the (inherently sequential) augmentation search, so
-         this table is not threaded through batch views. *)
+         planning path spends its time on. *)
   stats : stats;
   own : Sdn_parallel.Ownership.region;
       (* SDNPROBE_POOL_CHECK witness: only the building domain may
-         write the shared tables; batch workers write local views *)
+         write the tables *)
 }
 
 let fresh_caches () =
@@ -93,78 +85,20 @@ type t = {
   caches : caches;
 }
 
-(* A cache view: the tables a query reads first and writes to, plus the
-   shared graph caches it may fall back to. The sequential entry points
-   use the {e direct} view (local tables = the shared ones, no
-   fallback); batch workers use task-local views. *)
-type view = {
-  vstart : (int list, Hs.t) Hashtbl.t;
-  vforward : (int list, Hs.t) Hashtbl.t;
-  vinject : (int list, (int list * Hs.t) option) Hashtbl.t;
-  vstats : stats;
-  fallback : caches option; (* read-only during a batch *)
-  vown : Sdn_parallel.Ownership.region; (* who may write vstart/... *)
-}
-
-let direct_view caches =
-  {
-    vstart = caches.start;
-    vforward = caches.forward;
-    vinject = caches.inject;
-    vstats = caches.stats;
-    fallback = None;
-    vown = caches.own;
-  }
-
-let local_view caches =
-  {
-    vstart = Hashtbl.create 64;
-    vforward = Hashtbl.create 16;
-    vinject = Hashtbl.create 16;
-    vstats = { hits = 0; misses = 0 };
-    fallback = Some caches;
-    (* Registered on the worker that runs the task, so its writes stay
-       same-domain by construction. *)
-    vown = Sdn_parallel.Ownership.register ~name:"rule_graph.local_view";
-  }
-
-let cached view table shared (chit, cmiss) key compute =
-  let found =
-    match Hashtbl.find_opt table key with
-    | Some _ as v -> v
-    | None -> (
-        match view.fallback with
-        | None -> None
-        | Some c -> Hashtbl.find_opt (shared c) key)
-  in
-  match found with
+let cached t table (chit, cmiss) key compute =
+  let stats = t.caches.stats in
+  match Hashtbl.find_opt table key with
   | Some v ->
-      view.vstats.hits <- view.vstats.hits + 1;
+      stats.hits <- stats.hits + 1;
       Metrics.Counter.incr chit;
       v
   | None ->
-      view.vstats.misses <- view.vstats.misses + 1;
+      stats.misses <- stats.misses + 1;
       Metrics.Counter.incr cmiss;
       let v = compute () in
-      Sdn_parallel.Ownership.touch view.vown;
+      Sdn_parallel.Ownership.touch t.caches.own;
       Hashtbl.add table key v;
       v
-
-(* Fold a task-local view back into the shared caches (single-domain
-   code: called after the pool join, in task order). *)
-let merge_view t v =
-  Sdn_parallel.Ownership.touch t.caches.own;
-  let into dst src =
-    (* sdncheck: allow D001 — add-if-absent merge: for any one key the
-       first claim wins and claims for one key are identical, so merge
-       order cannot change the resulting cache contents *)
-    Hashtbl.iter (fun k x -> if not (Hashtbl.mem dst k) then Hashtbl.add dst k x) src
-  in
-  into t.caches.start v.vstart;
-  into t.caches.forward v.vforward;
-  into t.caches.inject v.vinject;
-  t.caches.stats.hits <- t.caches.stats.hits + v.vstats.hits;
-  t.caches.stats.misses <- t.caches.stats.misses + v.vstats.misses
 
 let invalidate_caches t =
   Sdn_parallel.Ownership.touch t.caches.own;
@@ -751,20 +685,15 @@ let expand_path t = function
       in
       first :: loop path
 
-let forward_space_v t view path =
+let forward_space t path =
   let len = Network.header_len t.network in
   match path with
   | [] -> Hs.empty len
   | _ ->
-      cached view view.vforward
-        (fun c -> c.forward)
-        (c_forward_hits, c_forward_misses) path
-        (fun () ->
+      cached t t.caches.forward (c_forward_hits, c_forward_misses) path (fun () ->
           List.fold_left (fun hs v -> step t.inputs t.vertices hs v) (Hs.full len) path)
 
-let forward_space t path = forward_space_v t (direct_view t.caches) path
-
-let start_space_v t view path =
+let start_space t path =
   let len = Network.header_len t.network in
   match path with
   | [] -> Hs.empty len
@@ -774,10 +703,7 @@ let start_space_v t view path =
       let rec go = function
         | [] -> Hs.full len
         | v :: rest as key ->
-            cached view view.vstart
-              (fun c -> c.start)
-              (c_start_hits, c_start_misses) key
-              (fun () ->
+            cached t t.caches.start (c_start_hits, c_start_misses) key (fun () ->
                 let after = go rest in
                 let r = t.vertices.(v) in
                 Hs.inter t.inputs.(v)
@@ -785,21 +711,16 @@ let start_space_v t view path =
       in
       go path
 
-let start_space t path = start_space_v t (direct_view t.caches) path
-
 let is_legal t path = not (Hs.is_empty (forward_space t (expand_path t path)))
 
-let rec injection_plan_v t view rules =
+let rec injection_plan t rules =
   match rules with
   | [] -> None
   | head :: _ ->
-      cached view view.vinject
-        (fun c -> c.inject)
-        (c_inject_hits, c_inject_misses) rules
-        (fun () ->
+      cached t t.caches.inject (c_inject_hits, c_inject_misses) rules (fun () ->
           let e = t.vertices.(head) in
           if e.Flow_entry.table = 0 then
-            let hs = start_space_v t view rules in
+            let hs = start_space t rules in
             if Hs.is_empty hs then None else Some (rules, hs)
           else
             (* Reach the head through its own switch's earlier tables. *)
@@ -809,74 +730,14 @@ let rec injection_plan_v t view rules =
                 if
                   pe.Flow_entry.switch = e.Flow_entry.switch
                   && pe.Flow_entry.table < e.Flow_entry.table
-                  && not (Hs.is_empty (start_space_v t view (p :: rules)))
-                then injection_plan_v t view (p :: rules)
+                  && not (Hs.is_empty (start_space t (p :: rules)))
+                then injection_plan t (p :: rules)
                 else None)
               (Digraph.pred t.base head))
 
-let injection_plan t rules = injection_plan_v t (direct_view t.caches) rules
-
 let is_injectable t path =
-  match Hashtbl.find_opt t.caches.legal path with
-  | Some b ->
-      t.caches.stats.hits <- t.caches.stats.hits + 1;
-      Metrics.Counter.incr c_legal_hits;
-      b
-  | None ->
-      t.caches.stats.misses <- t.caches.stats.misses + 1;
-      Metrics.Counter.incr c_legal_misses;
-      let b = injection_plan t (expand_path t path) <> None in
-      Hashtbl.add t.caches.legal path b;
-      b
-
-(* Batch queries: contiguous blocks of paths, one task and one local
-   view per block — items inside a block share subproblems (the
-   suffix-keyed start spaces especially) through the view instead of
-   each recomputing them cold. Views are merged back after the
-   input-order join; cached values are pure functions of their keys, so
-   neither the block boundaries nor the merge order can show in the
-   output. With no pool (or one domain) this is exactly the sequential
-   fold over the shared caches. *)
-let batch ?pool t f paths =
-  let seq () =
-    let v = direct_view t.caches in
-    List.map (f v) paths
-  in
-  match pool with
-  | None -> seq ()
-  | Some p when Sdn_parallel.Pool.domains p = 1 -> seq ()
-  | Some p ->
-      let arr = Array.of_list paths in
-      let n = Array.length arr in
-      let blocks = min n (2 * Sdn_parallel.Pool.domains p) in
-      if blocks = 0 then []
-      else begin
-        let size = (n + blocks - 1) / blocks in
-        let spans =
-          List.filter
-            (fun (lo, hi) -> lo < hi)
-            (List.init blocks (fun b -> (b * size, min n ((b + 1) * size))))
-        in
-        Sdn_parallel.Pool.map_list p
-          (fun (lo, hi) ->
-            let v = local_view t.caches in
-            let rec go i acc =
-              if i >= hi then List.rev acc else go (i + 1) (f v arr.(i) :: acc)
-            in
-            (go lo [], v))
-          spans
-        |> List.concat_map (fun (rs, v) ->
-               merge_view t v;
-               rs)
-      end
-
-let spaces ?pool t paths =
-  batch ?pool t (fun v path -> (start_space_v t v path, forward_space_v t v path)) paths
-
-let warm_injection ?pool t pathlists =
-  ignore
-    (batch ?pool t (fun v rules -> ignore (injection_plan_v t v rules)) pathlists
-      : unit list)
+  cached t t.caches.legal (c_legal_hits, c_legal_misses) path (fun () ->
+      injection_plan t (expand_path t path) <> None)
 
 let stats t =
   [

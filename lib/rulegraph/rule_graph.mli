@@ -87,24 +87,6 @@ val is_injectable : t -> int list -> bool
     predicate used by the MLPC solvers: a tested path must be both
     traversable and injectable. *)
 
-val spaces :
-  ?pool:Sdn_parallel.Pool.t -> t -> int list list -> (Hspace.Hs.t * Hspace.Hs.t) list
-(** [(start_space, forward_space)] of each (expanded) path, in input
-    order. With a pool of two or more domains the paths are computed in
-    parallel: each task reads the shared space caches (frozen for the
-    batch) through a task-local overlay, and the overlays are merged
-    back after the join, so the results — and the final cache contents —
-    are identical to the sequential fold for any domain count (only
-    hit/miss tallies may differ, since two tasks can each miss a key
-    the sequential order would compute once). *)
-
-val warm_injection : ?pool:Sdn_parallel.Pool.t -> t -> int list list -> unit
-(** Precompute {!injection_plan} for each {e expanded} rule sequence,
-    populating the injection and start-space caches — the parallel
-    warm-up the MLPC matching solvers run before their (inherently
-    sequential) augmentation search. Same determinism contract as
-    {!spaces}. *)
-
 val stats : t -> (string * int) list
 (** Vertices / base edges / closure edges / pruned expansions. *)
 

@@ -2,12 +2,10 @@ module Hs = Hspace.Hs
 module Header = Hspace.Header
 module FE = Openflow.Flow_entry
 module Network = Openflow.Network
-module Pool = Sdn_parallel.Pool
 
 exception Uncertified of string
 
-(* Process-wide counters (docs/METRICS.md); bumped on the main domain
-   only, after parallel joins. *)
+(* Process-wide counters, published through Metrics.Counter. *)
 let c_states = Metrics.Counter.create "verify.states.computed"
 let c_updates = Metrics.Counter.create "verify.states.updated"
 let c_hits = Metrics.Counter.create "verify.states.cache_hits"
@@ -17,7 +15,6 @@ let c_pruned = Metrics.Counter.create "verify.closure.pruned"
 
 type t = {
   mutable plumbing : Plumbing.t;
-  pool : Pool.t option;
   states : (int * int, Closure.state) Hashtbl.t;
       (* (source, avoided switch or -1) -> closure state *)
   leak_cache : (int, (int * Hs.t) option) Hashtbl.t;
@@ -28,12 +25,11 @@ type t = {
   mutable hits : int;
 }
 
-let create ?pool net =
+let create net =
   let timing = Metrics.Timing.create () in
   let plumbing = Metrics.Timing.time timing "plumbing" (fun () -> Plumbing.build net) in
   {
     plumbing;
-    pool;
     states = Hashtbl.create 16;
     leak_cache = Hashtbl.create 64;
     timing;
@@ -55,10 +51,8 @@ let bump_tally (d : Closure.tally) =
   Metrics.Counter.add c_iters d.iterations;
   Metrics.Counter.add c_pruned d.pruned
 
-(* Compute the closure states for the missing (source, avoid) keys —
-   one parallel map with an input-order join, so the cache contents
-   (and everything derived from them) are identical at any domain
-   count. *)
+(* Compute the closure states for the missing (source, avoid) keys, in
+   sorted key order. *)
 let ensure_states t keys =
   let missing =
     List.sort_uniq compare keys
@@ -69,10 +63,7 @@ let ensure_states t keys =
       Closure.compute t.plumbing ~source ~avoid ()
     in
     let fresh =
-      Metrics.Timing.time t.timing "closure" (fun () ->
-          match t.pool with
-          | Some pool -> Pool.map_list pool compute missing
-          | None -> List.map compute missing)
+      Metrics.Timing.time t.timing "closure" (fun () -> List.map compute missing)
     in
     List.iter2
       (fun key st ->
@@ -407,8 +398,8 @@ let check t invs =
       | Ok () -> ()
       | Error msg -> invalid_arg ("Verify.Engine.check: " ^ msg))
     invs;
-  (* Pre-compute every state the invariants will need in one parallel
-     batch (blackhole sources are discovered during evaluation and
+  (* Pre-compute every state the invariants will need in one batch
+     (blackhole sources are discovered during evaluation and
      filled in lazily — they are per-switch states too, so a later
      check reuses them). *)
   let keys =
@@ -454,10 +445,9 @@ let update t ~changed_tables =
   let before = List.map snapshot keys in
   let outcomes =
     Metrics.Timing.time t.timing "repropagate" (fun () ->
-        let run k = Closure.update patch.Plumbing.plumbing patch (Hashtbl.find t.states k) in
-        match t.pool with
-        | Some pool -> Pool.map_list pool run keys
-        | None -> List.map run keys)
+        List.map
+          (fun k -> Closure.update patch.Plumbing.plumbing patch (Hashtbl.find t.states k))
+          keys)
   in
   List.iteri
     (fun i outcome ->

@@ -2,10 +2,8 @@
 
     An engine owns the plumbing graph of one network plus a cache of
     closure states (one per (source, avoided-switch) pair the checked
-    invariants needed so far). {!check} computes the missing states —
-    in parallel over a domain pool when given one, with an input-order
-    join so output is bit-identical at any domain count — then
-    evaluates each invariant against them and certifies every
+    invariants needed so far). {!check} computes the missing states,
+    then evaluates each invariant against them and certifies every
     violation's witness through {!Witness.certify} before reporting it;
     a witness that fails certification raises {!Uncertified} instead of
     being reported (the acceptance gate of docs/VERIFY.md).
@@ -23,9 +21,8 @@ exception Uncertified of string
 (** A violation's witness failed independent certification — an engine
     bug, never a report. *)
 
-val create : ?pool:Sdn_parallel.Pool.t -> Openflow.Network.t -> t
-(** Build the plumbing graph. [pool] parallelizes state computation
-    across injection sources. *)
+val create : Openflow.Network.t -> t
+(** Build the plumbing graph. *)
 
 val network : t -> Openflow.Network.t
 

@@ -6,7 +6,7 @@
     addition: every violation embeds its witness and the certificate
     that re-established it. The JSON rendering is deterministic — work
     counters are propagation tallies, not clocks — so reports are
-    byte-comparable across runs and domain counts; wall-clock timings
+    byte-comparable across runs; wall-clock timings
     are opt-in ({!to_json}'s [timings] flag) and live under a separate
     key. *)
 

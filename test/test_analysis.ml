@@ -9,6 +9,7 @@ module Source = Sdn_analysis.Source
 module Finding = Sdn_analysis.Finding
 module Rules = Sdn_analysis.Rules
 module Engine = Sdn_analysis.Engine
+module Modgraph = Sdn_analysis.Modgraph
 module J = Sdn_util.Json
 
 let check_bool = Alcotest.(check bool)
@@ -178,6 +179,30 @@ let test_self_scan_clean () =
             (Format.asprintf "%a" Finding.pp f));
       check_bool "suppressions in use" true (r.Engine.suppressed > 0)
 
+(* D005's scope: the files every pooled stage can reach from its seed.
+   A sharded plan builds whole rule graphs and matchings inside its
+   per-region tasks, so those modules must be in scope with it. *)
+let test_d005_scope_covers_pooled_stages () =
+  match Engine.find_root () with
+  | None -> Alcotest.fail "cannot find repo root from the test runtime dir"
+  | Some root ->
+      let files =
+        List.map
+          (fun rel -> (rel, (Source.load ~root ~rel).Source.stripped))
+          (Engine.collect_files root)
+      in
+      let pooled =
+        Modgraph.reachable (Modgraph.build ~root ~files) ~seeds:Engine.pooled_seeds
+      in
+      List.iter
+        (fun rel -> check_bool rel true (pooled rel))
+        [
+          "lib/shard/splan.ml";
+          "lib/rulegraph/rule_graph.ml";
+          "lib/mlpc/legal_matching.ml";
+          "lib/mlpc/headers.ml";
+        ]
+
 let test_exit_codes () =
   let bad = run_rel ~rel:"lib/bad/d001.ml" (fixture "bad" "d001.ml") in
   let warn = run_rel ~rel:"lib/bad/d006.ml" (fixture "bad" "d006.ml") in
@@ -203,6 +228,8 @@ let () =
           Alcotest.test_case "D004 fires" `Quick test_d004_fires;
           Alcotest.test_case "D005 fires" `Quick test_d005_fires;
           Alcotest.test_case "D005 reachability" `Quick test_d005_needs_reachability;
+          Alcotest.test_case "D005 scope covers pooled stages" `Quick
+            test_d005_scope_covers_pooled_stages;
           Alcotest.test_case "D006 fires" `Quick test_d006_fires;
           Alcotest.test_case "D006 scope" `Quick test_d006_scope;
         ] );

@@ -1,13 +1,11 @@
 (* Deterministic multicore: the domain pool's combinator contracts, the
-   domain-safe cube intern table, parallel Yen batches, and — the PR's
-   acceptance property — byte-identity of the whole pipeline (plan,
-   execution report, certificate) across domain counts. *)
+   domain-safe cube intern table, and byte-identity of the whole
+   pipeline (plan, execution report, certificate) across domain
+   counts. *)
 
 module Pool = Sdn_parallel.Pool
 module Prng = Sdn_util.Prng
 module Cube = Hspace.Cube
-module Digraph = Sdngraph.Digraph
-module Yen = Sdngraph.Yen
 module Emu = Dataplane.Emulator
 module Impairment = Dataplane.Impairment
 module Plan = Sdnprobe.Plan
@@ -160,41 +158,6 @@ let test_intern_under_domains () =
   let par = Pool.map (pool 4) work specs in
   check_bool "parallel algebra matches" true (seq = par);
   check_bool "table non-empty" true (Cube.interned_count () > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel Yen batch = sequential map *)
-
-let random_graph seed =
-  let rng = Prng.create seed in
-  let n = 36 in
-  let g = Digraph.create n in
-  for _ = 1 to 5 * n do
-    let u = Prng.int rng n and v = Prng.int rng n in
-    if u <> v then
-      Digraph.add_edge ~weight:(1.0 +. Prng.float rng 9.0) g u v
-  done;
-  g
-
-let test_yen_pairs_matches_sequential () =
-  let g = random_graph 5 in
-  let rng = Prng.create 6 in
-  let pairs =
-    List.init 24 (fun _ -> (Prng.int rng (Digraph.n_vertices g), Prng.int rng (Digraph.n_vertices g)))
-  in
-  let seq = Yen.k_shortest_pairs g ~pairs ~k:8 in
-  List.iter
-    (fun n ->
-      check_bool
-        (Printf.sprintf "pairs @%d" n)
-        true
-        (Yen.k_shortest_pairs ~pool:(pool n) g ~pairs ~k:8 = seq))
-    sizes;
-  (* and each batch entry is the plain single-pair answer *)
-  List.iteri
-    (fun i (src, dst) ->
-      if List.nth seq i <> Yen.k_shortest g ~src ~dst ~k:8 then
-        Alcotest.failf "pair %d differs from k_shortest" i)
-    pairs
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline byte-identity across domain counts.
@@ -433,8 +396,6 @@ let () =
         ] );
       ( "intern",
         [ Alcotest.test_case "cube algebra under domains" `Quick test_intern_under_domains ] );
-      ( "yen",
-        [ Alcotest.test_case "pairs batch = sequential" `Quick test_yen_pairs_matches_sequential ] );
       ( "pipeline",
         [
           test_cross_domain_identity;

@@ -4,7 +4,7 @@
    incremental-vs-from-scratch equivalence under random edits, witness
    certification (including rejection of corrupted witnesses), the
    L001/L002 lint delegation (pinned against an inline copy of the
-   historical graph-walk), and 1-vs-4-domain byte identity. *)
+   historical graph-walk). *)
 
 module Cube = Hspace.Cube
 module Hs = Hspace.Hs
@@ -464,23 +464,6 @@ let test_incremental_verdicts_match_scratch () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: 1 domain vs 4 domains, byte-identical JSON *)
-
-let test_domains_byte_identical () =
-  let rng = Sdn_util.Prng.create 11 in
-  let net =
-    Fixtures.random_line_net rng ~n_switches:6 ~rules_per_switch:5 ~header_len:8
-  in
-  let invs =
-    [ Invariant.Loop_free; Invariant.No_blackhole; Invariant.Reach (0, 5);
-      Invariant.Waypoint (0, 3, 5) ]
-  in
-  let sequential = Report.to_json (Engine.check (Engine.create net) invs) in
-  let pool = Sdn_parallel.pool ~domains:4 in
-  let parallel = Report.to_json (Engine.check (Engine.create ~pool net) invs) in
-  check_string "json identical" sequential parallel
-
-(* ------------------------------------------------------------------ *)
 (* L001/L002 delegation: pinned against the historical inline walk *)
 
 (* Verbatim re-implementation of the pre-delegation L001/L002 data
@@ -648,7 +631,6 @@ let () =
           Alcotest.test_case "cache hits" `Quick test_cache_hits_on_disjoint_component;
           Alcotest.test_case "incremental verdicts" `Quick
             test_incremental_verdicts_match_scratch;
-          Alcotest.test_case "domains byte-identical" `Quick test_domains_byte_identical;
         ] );
       ( "witness",
         [
