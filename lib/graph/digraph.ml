@@ -24,15 +24,17 @@ let mem_edge g u v =
   check g v "Digraph.mem_edge";
   List.exists (fun (w, _) -> w = v) g.adj.(u)
 
-let add_edge ?(weight = 1.0) g u v =
+let add_new_edge ?(weight = 1.0) g u v =
   check g u "Digraph.add_edge";
   check g v "Digraph.add_edge";
-  if not (List.exists (fun (w, _) -> w = v) g.adj.(u)) then begin
-    g.adj.(u) <- (v, weight) :: g.adj.(u);
-    g.nedges <- g.nedges + 1;
-    g.preds <- None;
-    g.fsucc <- None
-  end
+  g.adj.(u) <- (v, weight) :: g.adj.(u);
+  g.nedges <- g.nedges + 1;
+  g.preds <- None;
+  g.fsucc <- None
+
+let add_edge ?weight g u v =
+  check g u "Digraph.add_edge";
+  if not (List.exists (fun (w, _) -> w = v) g.adj.(u)) then add_new_edge ?weight g u v
 
 let weight g u v =
   check g u "Digraph.weight";

@@ -18,6 +18,10 @@ val add_edge : ?weight:float -> t -> int -> int -> unit
 (** [add_edge g u v] inserts the edge [u -> v]. No-op if present.
     Raises [Invalid_argument] if a vertex is out of range. *)
 
+val add_new_edge : ?weight:float -> t -> int -> int -> unit
+(** [add_edge] without its O(out-degree) duplicate scan: the caller
+    guarantees that [u -> v] is absent. *)
+
 val mem_edge : t -> int -> int -> bool
 
 val weight : t -> int -> int -> float option

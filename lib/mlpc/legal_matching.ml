@@ -6,15 +6,20 @@ module Hs = Hspace.Hs
    vertices: succ.(u) = v encodes the matched bipartite edge (u, v'),
    i.e. "u is immediately followed by v in its chain". All mutations go
    through an undo log so an augmenting path whose final splice is
-   illegal can be rolled back and an alternative explored. *)
+   illegal can be rolled back and an alternative explored. The log is
+   an int stack of (slot, old value) pairs, slot [u] for succ.(u) and
+   [lnot v] for pred.(v); an augmentation search marks the vertices it
+   visits with its own stamp, so neither allocates per visit. *)
 
 type state = {
   rg : RG.t;
   succ : int array;
   pred : int array;
   adj : int list array; (* legal candidate successors (closure graph) *)
-  mutable log : [ `Succ of int * int | `Pred of int * int ] list;
-  mutable logn : int;
+  seen : int array; (* stamp of the last search that visited v *)
+  mutable stamp : int;
+  mutable log : int array;
+  mutable logn : int; (* entries in the log, two ints each *)
 }
 
 let make_state rg =
@@ -26,29 +31,41 @@ let make_state rg =
         if testable.(u) then List.filter (fun v -> testable.(v)) (Digraph.succ g u)
         else [])
   in
-  { rg; succ = Array.make n (-1); pred = Array.make n (-1); adj; log = []; logn = 0 }
+  {
+    rg;
+    succ = Array.make n (-1);
+    pred = Array.make n (-1);
+    adj;
+    seen = Array.make n 0;
+    stamp = 0;
+    log = Array.make 64 0;
+    logn = 0;
+  }
+
+let push st slot old =
+  let i = 2 * st.logn in
+  if i = Array.length st.log then begin
+    let log = Array.make (2 * i) 0 in
+    Array.blit st.log 0 log 0 i;
+    st.log <- log
+  end;
+  st.log.(i) <- slot;
+  st.log.(i + 1) <- old;
+  st.logn <- st.logn + 1
 
 let set_succ st u v =
-  st.log <- `Succ (u, st.succ.(u)) :: st.log;
-  st.logn <- st.logn + 1;
+  push st u st.succ.(u);
   st.succ.(u) <- v
 
 let set_pred st v u =
-  st.log <- `Pred (v, st.pred.(v)) :: st.log;
-  st.logn <- st.logn + 1;
+  push st (lnot v) st.pred.(v);
   st.pred.(v) <- u
 
 let rollback st mark =
   while st.logn > mark do
-    (match st.log with
-    | `Succ (u, old) :: rest ->
-        st.succ.(u) <- old;
-        st.log <- rest
-    | `Pred (v, old) :: rest ->
-        st.pred.(v) <- old;
-        st.log <- rest
-    | [] -> assert false);
-    st.logn <- st.logn - 1
+    st.logn <- st.logn - 1;
+    let slot = st.log.(2 * st.logn) and old = st.log.((2 * st.logn) + 1) in
+    if slot >= 0 then st.succ.(slot) <- old else st.pred.(lnot slot) <- old
   done
 
 (* The chain head .. u (u must be a chain tail when used for a splice). *)
@@ -72,13 +89,13 @@ let legal_claim st u v = RG.is_injectable st.rg (prefix_of st u @ suffix_of st v
 (* Kuhn-style augmentation: find a new successor for the chain tail [u],
    re-routing current predecessors recursively; every splice is admitted
    only if legal, and failed branches are rolled back. *)
-let rec try_augment st visited u =
+let rec try_augment st u =
   let rec try_candidates = function
     | [] -> false
     | v :: rest ->
-        if Hashtbl.mem visited v then try_candidates rest
+        if st.seen.(v) = st.stamp then try_candidates rest
         else begin
-          Hashtbl.add visited v ();
+          st.seen.(v) <- st.stamp;
           let mark = st.logn in
           let w = st.pred.(v) in
           if w = -1 then
@@ -94,7 +111,7 @@ let rec try_augment st visited u =
                are legal). Then find w another successor. *)
             set_succ st w (-1);
             set_pred st v (-1);
-            if try_augment st visited w && legal_claim st u v then begin
+            if try_augment st w && legal_claim st u v then begin
               set_succ st u v;
               set_pred st v u;
               true
@@ -118,8 +135,11 @@ let solve_successors rg =
     progress := false;
     for u = 0 to n - 1 do
       if st.succ.(u) = -1 && st.adj.(u) <> [] then begin
-        let visited = Hashtbl.create 16 in
-        if try_augment st visited u then progress := true
+        (* A fresh search: nothing visited, and no earlier search is
+           ever rolled back, so its log entries can go. *)
+        st.stamp <- st.stamp + 1;
+        st.logn <- 0;
+        if try_augment st u then progress := true
       end
     done
   done;

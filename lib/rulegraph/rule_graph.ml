@@ -9,18 +9,26 @@ exception Cyclic_policy of int list
    audit ask for the same path spaces over and over (every candidate
    splice re-derives its chain's injectability; Cover.all_legal
    re-checks every recorded start space), so each graph carries keyed
-   caches:
+   caches. Every key is a path spelled in ENTRY IDS, not vertex
+   numbers: ids survive the renumbering of an edit, so {!update} carries
+   the tables over by copying them and evicting stale keys in place.
 
    - [start]: keyed by path {e suffix} — start_space is a backward
      fold, so [start_space (p :: rules)] reuses the memoized
      [start_space rules], which is exactly the shape of
      [injection_plan]'s backward extension search;
    - [forward]: keyed by the whole (expanded) path;
-   - [inject]: [injection_plan] results, keyed by the expanded path.
+   - [inject]: [injection_plan] results, keyed by the expanded path,
+     the plan's rule chain in ids too;
+   - [legal]: {!is_injectable} claims, keyed by the unexpanded chain.
 
-   Invalidation is explicit: {!build} and {!update} install fresh
-   caches, and {!invalidate_caches} empties them in place (required if
-   the underlying network is mutated without going through [update]).
+   A query spells its path in ids once and shares that list: the start
+   keys are its suffixes, and a table-0 head's inject key and plan are
+   the list itself.
+
+   {!build} installs empty caches, {!update} copied ones, and
+   {!invalidate_caches} empties them in place (required if the
+   underlying network is mutated without going through [update]).
    Hit/miss totals feed both the per-graph [cache_stats] and the global
    {!Metrics.Counter} registry.
 
@@ -35,11 +43,10 @@ type caches = {
   forward : (int list, Hs.t) Hashtbl.t;
   inject : (int list, (int list * Hs.t) option) Hashtbl.t;
   legal : (int list, bool) Hashtbl.t;
-      (* {!is_injectable} memo, keyed by the UNEXPANDED closure-vertex
-         chain — the MLPC solvers' claim shape. One short-list lookup
-         replaces prefix expansion (witness walks, concatenation) plus
-         the inject query, which is what the warm re-solve of the delta
-         planning path spends its time on. *)
+      (* the MLPC solvers' claim shape: one short-list lookup replaces
+         prefix expansion (witness walks, concatenation) plus the inject
+         query, which is what the warm re-solve of the delta planning
+         path spends its time on *)
   stats : stats;
   own : Sdn_parallel.Ownership.region;
       (* SDNPROBE_POOL_CHECK witness: only the building domain may
@@ -81,6 +88,7 @@ type t = {
   base : Digraph.t;
   full : Digraph.t; (* base + closure edges *)
   witness : (int * int, int list list) Hashtbl.t;
+      (* closure edge -> witness interiors, all in entry ids *)
   mutable pruned : int; (* closure expansions cut by the subsumption check *)
   caches : caches;
 }
@@ -130,10 +138,18 @@ let base_graph t = t.base
 
 let graph t = t.full
 
-let is_closure_edge t u v = Hashtbl.mem t.witness (u, v)
+let id t v = t.vertices.(v).Flow_entry.id
+
+let ids t path = List.map (id t) path
+
+let vertices_of t ids = List.map (Hashtbl.find t.index_of) ids
+
+let is_closure_edge t u v = Hashtbl.mem t.witness (id t u, id t v)
 
 let witnesses t u v =
-  match Hashtbl.find_opt t.witness (u, v) with Some w -> w | None -> []
+  match Hashtbl.find_opt t.witness (id t u, id t v) with
+  | Some w -> List.map (vertices_of t) w
+  | None -> []
 
 (* Hull prefilter for the all-pairs edge scans. [Hs.inter out in] over
    shadow-fragmented spaces is the superlinear hotspot of the flat
@@ -226,7 +242,8 @@ let step inputs vertices hs j =
 let closure_from t g u ~max_witnesses =
   let seen : (int, Hs.t list) Hashtbl.t = Hashtbl.create 16 in
   let q = Queue.create () in
-  (* State: (current vertex, header space after it, interior so far). *)
+  (* State: (current vertex, header space after it, interior so far in
+     entry ids, reversed). *)
   Queue.add (u, t.outputs.(u), []) q;
   while not (Queue.is_empty q) do
     let v, hs, interior = Queue.pop q in
@@ -244,14 +261,14 @@ let closure_from t g u ~max_witnesses =
             Hashtbl.replace seen w
               (hs' :: (Option.value ~default:[] (Hashtbl.find_opt seen w)));
             if interior <> [] && not (Digraph.mem_edge t.base u w) then begin
-              let key = (u, w) in
+              let key = (id t u, id t w) in
               let ws = Option.value ~default:[] (Hashtbl.find_opt t.witness key) in
               if List.length ws < max_witnesses then begin
                 Hashtbl.replace t.witness key (ws @ [ List.rev interior ]);
                 Digraph.add_edge g u w
               end
             end;
-            Queue.add (w, hs', w :: interior) q
+            Queue.add (w, hs', id t w :: interior) q
           end
         end)
       (Digraph.succ t.base v)
@@ -493,39 +510,99 @@ let update ?(max_witnesses = 3) old ~changed_tables =
     done;
     mark
   in
-  let dirty_new = ancestors base affected_new in
-  let affected_old =
-    Array.to_list old.vertices
-    |> List.mapi (fun ov e -> (ov, e))
-    |> List.filter_map (fun (ov, (e : Flow_entry.t)) ->
-           if affected e || not (Hashtbl.mem index_of e.id) then Some ov else None)
-  in
-  let dirty_old = ancestors old.base affected_old in
-  (* Old-index <-> new-index maps (-1 = no counterpart), precomputed so
-     the copy/retention loops below remap with array reads instead of
+  (* Old-index -> new-index map (-1 = removed), so the dirtiness marking
+     and the closure copy below remap with array reads instead of
      per-vertex hashtable lookups. *)
-  let o2n = Array.make (Array.length old.vertices) (-1) in
-  Array.iteri
-    (fun ov (e : Flow_entry.t) ->
-      match Hashtbl.find_opt index_of e.id with
-      | Some v -> o2n.(ov) <- v
-      | None -> ())
-    old.vertices;
-  let n2o = Array.make n (-1) in
-  Array.iteri
-    (fun i (e : Flow_entry.t) ->
-      match Hashtbl.find_opt old.index_of e.id with
-      | Some ov -> n2o.(i) <- ov
-      | None -> ())
-    vertices;
-  let dirty_arr =
-    Array.init n (fun i ->
-        dirty_new.(i)
-        ||
-        let ov = n2o.(i) in
-        ov < 0 || dirty_old.(ov))
+  let o2n =
+    Array.map
+      (fun (e : Flow_entry.t) -> Option.value ~default:(-1) (Hashtbl.find_opt index_of e.id))
+      old.vertices
   in
+  let affected_old =
+    List.filter
+      (fun ov -> o2n.(ov) < 0 || affected_arr.(o2n.(ov)))
+      (List.init (Array.length old.vertices) Fun.id)
+  in
+  (* Dirty: an ancestor of an affected vertex in the new base graph (new
+     entries are affected, so dirty) or, through the map, the old one. *)
+  let dirty_arr = ancestors base affected_new in
+  Array.iteri
+    (fun ov d -> if d && o2n.(ov) >= 0 then dirty_arr.(o2n.(ov)) <- true)
+    (ancestors old.base affected_old);
   let dirty i = dirty_arr.(i) in
+  (* Closure edges of clean sources, per source in the OLD graph's
+     successor order. A clean source's reachable cone is entirely clean
+     (a vertex reachable from it that could reach an affected vertex
+     would make the source dirty), so a fresh build's closure
+     exploration from it would traverse identical spaces over identical
+     adjacency and discover the same edges in the same order — the old
+     succ order IS the fresh discovery order, and its witnesses, keyed
+     by entry ids, carry over verbatim. A [full] successor list is the
+     base list followed by the closure edges, so the closure edges are
+     what follows the base out-degree, and none of them is in the new
+     base list: they append without a duplicate scan. Dirty and removed
+     sources lose their witnesses; dirty ones are re-explored from
+     scratch below, which appends their edges in discovery order, so
+     the updated [full] is adjacency-order identical to a scratch
+     build's. *)
+  let full = Digraph.copy base in
+  let witness = Hashtbl.copy old.witness in
+  Array.iteri
+    (fun ou (e : Flow_entry.t) ->
+      let u = o2n.(ou) and n_base = Digraph.out_degree old.base ou in
+      let clean = u >= 0 && not (dirty u) in
+      List.iteri
+        (fun k (ov, _) ->
+          if k < n_base then ()
+          else if clean then Digraph.add_new_edge full u o2n.(ov)
+          else Hashtbl.remove witness (e.id, old.vertices.(ov).Flow_entry.id))
+        (Digraph.succ_weighted old.full ou))
+    old.vertices;
+  (* Space-cache carry-over: every cached value is a pure function of
+     the entries on its key path, so a key through no removed or
+     affected entry stays valid — and, keyed by entry ids, needs no
+     remapping. Injection plans survive only for table-0 heads: a
+     later-table head's plan searches the head's predecessors for a
+     pipeline prefix, which edits elsewhere in the switch can change.
+     Legality claims are keyed by UNEXPANDED chains, so their value
+     also depends on the witness expansion of each closure hop: they
+     survive only when no chain vertex is removed or dirty (clean
+     sources keep their witnesses verbatim) and the head enters at
+     table 0. Surviving values are the exact Hs objects a recomputation
+     over the unchanged per-rule spaces would rebuild, so warm lookups
+     are representation-identical, not merely semantically equal.
+     Eviction tests each key on its own, so the hash order of
+     [filter_map_inplace] cannot matter. *)
+  let changed = Hashtbl.create 64 and redone = Hashtbl.create 64 in
+  let mark set (e : Flow_entry.t) = Hashtbl.replace set e.id () in
+  Array.iteri
+    (fun ov e -> if o2n.(ov) < 0 then (mark changed e; mark redone e))
+    old.vertices;
+  Array.iteri
+    (fun i e ->
+      if affected_arr.(i) then mark changed e;
+      if dirty i then mark redone e)
+    vertices;
+  let through set key = List.exists (Hashtbl.mem set) key in
+  let table0 = function
+    | head :: _ -> vertices.(Hashtbl.find index_of head).Flow_entry.table = 0
+    | [] -> false
+  in
+  let carry table stale =
+    let copy = Hashtbl.copy table in
+    Hashtbl.filter_map_inplace (fun key v -> if stale key then None else Some v) copy;
+    copy
+  in
+  let caches =
+    {
+      start = carry old.caches.start (through changed);
+      forward = carry old.caches.forward (through changed);
+      inject = carry old.caches.inject (fun k -> through changed k || not (table0 k));
+      legal = carry old.caches.legal (fun k -> through redone k || not (table0 k));
+      stats = { hits = 0; misses = 0 };
+      own = Sdn_parallel.Ownership.register ~name:"rule_graph.caches";
+    }
+  in
   let t =
     {
       network = net;
@@ -534,147 +611,23 @@ let update ?(max_witnesses = 3) old ~changed_tables =
       inputs;
       outputs;
       base;
-      full = base;
-      (* Pre-sized to the old tables: the copy/retention loops below
-         re-insert most of their contents, and growing from the default
-         bucket count would rehash the whole table a dozen times. *)
-      witness = Hashtbl.create (max 64 (Hashtbl.length old.witness));
+      full;
+      witness;
       pruned = old.pruned;
-      caches =
-        {
-          start = Hashtbl.create (max 256 (Hashtbl.length old.caches.start));
-          forward = Hashtbl.create (max 64 (Hashtbl.length old.caches.forward));
-          inject = Hashtbl.create (max 64 (Hashtbl.length old.caches.inject));
-          legal = Hashtbl.create (max 64 (Hashtbl.length old.caches.legal));
-          stats = { hits = 0; misses = 0 };
-          own = Sdn_parallel.Ownership.register ~name:"rule_graph.caches";
-        };
+      caches;
     }
   in
-  let full = Digraph.copy base in
-  (* Copy surviving closure edges of clean sources, per source in the
-     OLD graph's successor order. A clean source's reachable cone is
-     entirely clean (a vertex reachable from it that could reach an
-     affected vertex would make the source dirty), so a fresh build's
-     closure exploration from it would traverse identical spaces over
-     identical adjacency and discover the same edges in the same order —
-     the old succ order IS the fresh discovery order, witnesses
-     included. Dirty sources are re-explored from scratch below, which
-     also appends their edges in discovery order, so the updated [full]
-     is adjacency-order identical to a scratch build's. *)
-  let remap_interior interior =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | ow :: rest ->
-          let w = o2n.(ow) in
-          if w >= 0 then go (w :: acc) rest else None
-    in
-    go [] interior
-  in
-  for u = 0 to n - 1 do
-    if not (dirty u) then begin
-      let ou = n2o.(u) in
-      List.iter
-        (fun ov ->
-          match Hashtbl.find_opt old.witness (ou, ov) with
-          | None -> () (* base edge *)
-          | Some witnesses ->
-              let j = o2n.(ov) in
-              if j >= 0 then begin
-                let mapped = List.filter_map remap_interior witnesses in
-                if mapped <> [] then begin
-                  Hashtbl.replace t.witness (u, j) mapped;
-                  Digraph.add_edge full u j
-                end
-              end)
-        (Digraph.succ old.full ou)
-    end
-  done;
   for u = 0 to n - 1 do
     if dirty u then closure_from t full u ~max_witnesses
   done;
-  (* Space-cache retention: every cached value is a pure function of the
-     entries on its key path, so any old entry whose vertices are all
-     unaffected and surviving stays valid — it only needs its key
-     remapped through the entry ids (vertex indices shift when entries
-     are added or removed). Injection plans are retained only for
-     table-0 heads: a later-table head's plan searches the head's
-     predecessors for a pipeline prefix, which edits elsewhere in the
-     switch can change. Retained values are the exact Hs objects a
-     recomputation over the unchanged per-rule spaces would rebuild, so
-     warm lookups are representation-identical, not merely
-     semantically equal. *)
-  let old_to_new =
-    Array.init (Array.length old.vertices) (fun ov ->
-        let v = o2n.(ov) in
-        if v >= 0 && not affected_arr.(v) then v else -1)
-  in
-  let remap_path key =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | ov :: rest ->
-          let v = if ov < Array.length old_to_new then old_to_new.(ov) else -1 in
-          if v >= 0 then go (v :: acc) rest else None
-    in
-    go [] key
-  in
-  let retain src dst =
-    (* sdncheck: allow D001 — cache migration under an injective key
-       remap: distinct old keys land on distinct new keys, so
-       iteration order cannot affect the migrated table *)
-    Hashtbl.iter
-      (fun key value ->
-        match remap_path key with
-        | Some key' -> Hashtbl.replace dst key' value
-        | None -> ())
-      src
-  in
-  retain old.caches.start t.caches.start;
-  retain old.caches.forward t.caches.forward;
-  (* sdncheck: allow D001 — same injective remap as [retain], with the
-     inject payload's rule chain remapped alongside the key *)
-  Hashtbl.iter
-    (fun key value ->
-      match key with
-      | head :: _ when old.vertices.(head).Flow_entry.table = 0 -> (
-          match remap_path key with
-          | None -> ()
-          | Some key' -> (
-              match value with
-              | None -> Hashtbl.replace t.caches.inject key' None
-              | Some (rules, hs) -> (
-                  match remap_path rules with
-                  | Some rules' ->
-                      Hashtbl.replace t.caches.inject key' (Some (rules', hs))
-                  | None -> ())))
-      | _ -> ())
-    old.caches.inject;
-  (* Legality claims are keyed by UNEXPANDED chains, so their value also
-     depends on the witness expansion of each closure hop — retained
-     only when every chain vertex is clean (non-dirty sources keep their
-     closure edges and witnesses verbatim) and the head enters at
-     table 0 (later-table heads search base-graph predecessors, which
-     edits elsewhere in the switch can change). *)
-  (* sdncheck: allow D001 — injective remap again: legality claims
-     migrate key-by-key, no cross-key interference *)
-  Hashtbl.iter
-    (fun key value ->
-      match key with
-      | head :: _ when old.vertices.(head).Flow_entry.table = 0 -> (
-          match remap_path key with
-          | Some key' when List.for_all (fun v -> not (dirty v)) key' ->
-              Hashtbl.replace t.caches.legal key' value
-          | _ -> ())
-      | _ -> ())
-    old.caches.legal;
-  { t with full }
+  t
 
 let expand_pair t u v =
   if Digraph.mem_edge t.base u v then [ v ]
   else
-    match witnesses t u v with
-    | interior :: _ -> interior @ [ v ]
-    | [] -> invalid_arg "Rule_graph.expand_path: pair is not an edge"
+    match Hashtbl.find_opt t.witness (id t u, id t v) with
+    | Some (interior :: _) -> vertices_of t interior @ [ v ]
+    | Some [] | None -> invalid_arg "Rule_graph.expand_path: pair is not an edge"
 
 let expand_path t = function
   | [] -> []
@@ -690,54 +643,62 @@ let forward_space t path =
   match path with
   | [] -> Hs.empty len
   | _ ->
-      cached t t.caches.forward (c_forward_hits, c_forward_misses) path (fun () ->
+      cached t t.caches.forward (c_forward_hits, c_forward_misses) (ids t path) (fun () ->
           List.fold_left (fun hs v -> step t.inputs t.vertices hs v) (Hs.full len) path)
 
+(* [start_space] over a path and its id spelling. Memoized on suffixes:
+   the backward fold means every cached tail is reusable verbatim when
+   the path is extended at the front. *)
+let rec start_of t path key =
+  match (path, key) with
+  | v :: rest, _ :: key_rest ->
+      cached t t.caches.start (c_start_hits, c_start_misses) key (fun () ->
+          let after = start_of t rest key_rest in
+          let r = t.vertices.(v) in
+          Hs.inter t.inputs.(v) (Hs.inverse_set_field ~set:r.Flow_entry.set_field after))
+  | _ -> Hs.full (Network.header_len t.network)
+
 let start_space t path =
-  let len = Network.header_len t.network in
   match path with
-  | [] -> Hs.empty len
-  | _ ->
-      (* Memoized on suffixes: the backward fold means every cached tail
-         is reusable verbatim when the path is extended at the front. *)
-      let rec go = function
-        | [] -> Hs.full len
-        | v :: rest as key ->
-            cached t t.caches.start (c_start_hits, c_start_misses) key (fun () ->
-                let after = go rest in
-                let r = t.vertices.(v) in
-                Hs.inter t.inputs.(v)
-                  (Hs.inverse_set_field ~set:r.Flow_entry.set_field after))
-      in
-      go path
+  | [] -> Hs.empty (Network.header_len t.network)
+  | _ -> start_of t path (ids t path)
 
-let is_legal t path = not (Hs.is_empty (forward_space t (expand_path t path)))
-
-let rec injection_plan t rules =
+(* [injection_plan] over a path and its id spelling; the plan comes back
+   in ids. *)
+let rec inject_of t rules key =
   match rules with
   | [] -> None
   | head :: _ ->
-      cached t t.caches.inject (c_inject_hits, c_inject_misses) rules (fun () ->
+      cached t t.caches.inject (c_inject_hits, c_inject_misses) key (fun () ->
           let e = t.vertices.(head) in
           if e.Flow_entry.table = 0 then
-            let hs = start_space t rules in
-            if Hs.is_empty hs then None else Some (rules, hs)
+            let hs = start_of t rules key in
+            if Hs.is_empty hs then None else Some (key, hs)
           else
             (* Reach the head through its own switch's earlier tables. *)
             List.find_map
               (fun p ->
                 let pe = t.vertices.(p) in
+                let rules' = p :: rules and key' = pe.Flow_entry.id :: key in
                 if
                   pe.Flow_entry.switch = e.Flow_entry.switch
                   && pe.Flow_entry.table < e.Flow_entry.table
-                  && not (Hs.is_empty (start_space t (p :: rules)))
-                then injection_plan t (p :: rules)
+                  && not (Hs.is_empty (start_of t rules' key'))
+                then inject_of t rules' key'
                 else None)
               (Digraph.pred t.base head))
 
+let is_legal t path = not (Hs.is_empty (forward_space t (expand_path t path)))
+
+let injection_plan t rules =
+  Option.map
+    (fun (key, hs) -> (vertices_of t key, hs))
+    (inject_of t rules (ids t rules))
+
 let is_injectable t path =
-  cached t t.caches.legal (c_legal_hits, c_legal_misses) path (fun () ->
-      injection_plan t (expand_path t path) <> None)
+  cached t t.caches.legal (c_legal_hits, c_legal_misses) (ids t path) (fun () ->
+      let rules = expand_path t path in
+      inject_of t rules (ids t rules) <> None)
 
 let stats t =
   [

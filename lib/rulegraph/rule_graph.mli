@@ -91,18 +91,19 @@ val stats : t -> (string * int) list
 (** Vertices / base edges / closure edges / pruned expansions. *)
 
 val cache_stats : t -> (string * int) list
-(** Cumulative hit/miss totals of the graph's space caches
-    ([space_cache_hits] / [space_cache_misses]). Per-cache breakdowns
-    are published through the global {!Metrics.Counter} registry as
-    [rulegraph.cache.{start,forward,inject}.{hits,misses}]. *)
+(** Hit/miss totals of the graph's space caches since {!build} or
+    {!update} made it ([space_cache_hits] / [space_cache_misses]).
+    Per-cache breakdowns are published through the global
+    {!Metrics.Counter} registry as
+    [rulegraph.cache.{start,forward,inject,legal}.{hits,misses}]. *)
 
 val invalidate_caches : t -> unit
 (** Empty the memoized {!start_space} / {!forward_space} /
-    {!injection_plan} caches in place. {!build} and {!update} install
-    fresh caches, so this is only needed when the underlying network is
-    mutated {e without} going through [update] (the caches — like the
-    per-rule spaces — are otherwise valid for the network state the
-    graph was built against), or to benchmark cold-cache behavior. *)
+    {!injection_plan} / {!is_injectable} caches in place. Only needed
+    when the underlying network is mutated {e without} going through
+    {!update} (the caches — like the per-rule spaces — are otherwise
+    valid for the network state the graph was built against), or to
+    benchmark cold-cache behavior. *)
 
 val update : ?max_witnesses:int -> t -> changed_tables:(int * int) list -> t
 (** Incremental rebuild after flow-table churn (§VIII-C: "SDNProbe can
@@ -113,13 +114,19 @@ val update : ?max_witnesses:int -> t -> changed_tables:(int * int) list -> t
 
     Per-rule input/output spaces are recomputed only for entries in
     changed tables; base edges only where an endpoint's spaces changed;
-    and the legal-closure search is re-run only from vertices that can
-    reach an affected vertex (ancestors in the old or new base graph) —
-    everything else, including closure witnesses, is reused. Space-cache
-    entries whose key vertices are all unaffected survive too, remapped
-    through entry ids to the new vertex numbering (injection plans only
-    for table-0 heads, whose plan is a pure function of the path), so
-    the solvers re-run warm after an edit.
+    and the legal-closure search is re-run only from {e dirty} vertices,
+    those that can reach an affected vertex (ancestors in the old or new
+    base graph) — every other source keeps its closure edges and
+    witnesses. The witness table and the space caches are keyed by
+    entry ids, which survive renumbering, so they are copied and the
+    stale keys evicted: witnesses of removed or dirty sources, cache
+    keys through a removed or affected entry, injection plans and
+    legality claims whose head is not at table 0 (a later-table head's
+    plan depends on its switch's earlier tables), and legality claims
+    through a removed or dirty vertex (their witness expansion may
+    change). The solvers then
+    re-run warm after an edit, and [old] stays valid: it answers every
+    query as before.
 
     The result is {e adjacency-order identical} to a fresh {!build} of
     the mutated network — same edge sets in the same [succ] order, same

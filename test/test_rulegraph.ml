@@ -244,27 +244,33 @@ let test_multi_table_goto () =
 (* ------------------------------------------------------------------ *)
 (* Incremental updates *)
 
+(* What [update] promises (rule_graph.mli): adjacency-order identical
+   graphs, the same witnesses and representation-identical spaces.
+   Compared per vertex in entry ids, the one name both graphs share. *)
+let same_cubes = List.equal Cube.equal
+
+let repr_equal a b = same_cubes (Hs.cubes a) (Hs.cubes b)
+
 let same_graphs rg_inc rg_full =
-  let edge_ids rg g =
-    let acc = ref [] in
-    Sdngraph.Digraph.iter_edges
-      (fun u v ->
-        acc :=
-          ((RG.vertex_entry rg u).FE.id, (RG.vertex_entry rg v).FE.id) :: !acc)
-      g;
-    List.sort compare !acc
-  in
   check_int "same vertex count" (RG.n_vertices rg_full) (RG.n_vertices rg_inc);
-  check_bool "same base edges" true
-    (edge_ids rg_inc (RG.base_graph rg_inc) = edge_ids rg_full (RG.base_graph rg_full));
-  check_bool "same closure edges" true
-    (edge_ids rg_inc (RG.graph rg_inc) = edge_ids rg_full (RG.graph rg_full));
+  let id rg v = (RG.vertex_entry rg v).FE.id in
+  let succ_ids rg g v = List.map (id rg) (Digraph.succ g v) in
+  let witness_ids rg u v = List.map (List.map (id rg)) (RG.witnesses rg u v) in
   for v = 0 to RG.n_vertices rg_full - 1 do
-    let id = (RG.vertex_entry rg_full v).FE.id in
-    let vi = RG.vertex_of_entry rg_inc id in
-    check_bool "same input space" true (Hs.equal_sets (RG.input rg_inc vi) (RG.input rg_full v));
-    check_bool "same output space" true
-      (Hs.equal_sets (RG.output rg_inc vi) (RG.output rg_full v))
+    let vi = RG.vertex_of_entry rg_inc (id rg_full v) in
+    check_bool "same base successor order" true
+      (succ_ids rg_inc (RG.base_graph rg_inc) vi = succ_ids rg_full (RG.base_graph rg_full) v);
+    let full_inc = Digraph.succ (RG.graph rg_inc) vi
+    and full_full = Digraph.succ (RG.graph rg_full) v in
+    check_bool "same full successor order" true
+      (List.map (id rg_inc) full_inc = List.map (id rg_full) full_full);
+    List.iter2
+      (fun wi w ->
+        check_bool "same witnesses" true (witness_ids rg_inc vi wi = witness_ids rg_full v w))
+      full_inc full_full;
+    check_bool "same input cubes" true (repr_equal (RG.input rg_inc vi) (RG.input rg_full v));
+    check_bool "same output cubes" true
+      (repr_equal (RG.output rg_inc vi) (RG.output rg_full v))
   done
 
 let test_incremental_add () =
@@ -330,6 +336,144 @@ let test_incremental_cycle_detected () =
        ignore (RG.update rg0 ~changed_tables:[ (1, 0) ]);
        false
      with RG.Cyclic_policy _ -> true)
+
+(* A legality claim through a dirty vertex must not survive an edit,
+   even when no vertex of the chain changed. Line 0-1-2-3: [u] reaches
+   [v] through [x1] (0xxx) or [x2] (1xxx), and [x1] is explored first,
+   so the claim [a; u; v] expands through [x1] and holds. Reinstalling
+   an identical [x1] gives it a larger id: it now sorts after [x2], the
+   closure edge's first witness becomes [x2], and [a]'s 0xxx cannot
+   take it. *)
+let test_incremental_dirty_claim () =
+  let topo = Openflow.Topology.create ~n_switches:4 in
+  for i = 0 to 2 do
+    Openflow.Topology.add_link topo ~sw_a:i ~port_a:2 ~sw_b:(i + 1) ~port_b:1
+  done;
+  let net = Network.create ~header_len:4 topo in
+  let add sw m action =
+    Network.add_entry net ~switch:sw ~priority:1 ~match_:(Cube.of_string m) action
+  in
+  let a = add 0 "0xxx" (FE.Output 2) and u = add 1 "xxxx" (FE.Output 2) in
+  let x1 = add 2 "0xxx" (FE.Output 2) in
+  let _x2 = add 2 "1xxx" (FE.Output 2) and v = add 3 "xxxx" FE.Drop in
+  let chain rg = List.map (fun e -> RG.vertex_of_entry rg e.FE.id) [ a; u; v ] in
+  let old = RG.build net in
+  check_bool "claim holds through x1" true (RG.is_injectable old (chain old));
+  Network.remove_entry net x1.FE.id;
+  ignore (add 2 "0xxx" (FE.Output 2));
+  let upd = RG.update old ~changed_tables:[ (2, 0) ] in
+  check_bool "fresh build refutes it" false
+    (RG.is_injectable (RG.build net) (chain upd));
+  check_bool "updated graph refutes it" false (RG.is_injectable upd (chain upd));
+  check_bool "old graph still holds it" true (RG.is_injectable old (chain old))
+
+(* Stores that [update] carries over are exact, and [update] leaves its
+   argument usable. A small generated network (single- or two-table)
+   has its caches warmed by a solve, then takes random remove/reinstall
+   churn. Every query below is answered by the updated graph as by a
+   fresh build of the mutated network: the start, forward and injection
+   spaces of every fresh cover path and of every closure-graph 2-chain
+   (expanded), and the legality of those chains. *)
+let answers rg paths =
+  let id v = (RG.vertex_entry rg v).FE.id in
+  List.map
+    (fun chain ->
+      let path = RG.expand_path rg chain in
+      ( Hs.cubes (RG.start_space rg path),
+        Hs.cubes (RG.forward_space rg path),
+        Option.map
+          (fun (rules, hs) -> (List.map id rules, Hs.cubes hs))
+          (RG.injection_plan rg path),
+        RG.is_injectable rg chain ))
+    paths
+
+let queries rg =
+  let g = RG.graph rg in
+  List.map (fun (p : Mlpc.Cover.path) -> p.Mlpc.Cover.vertices)
+    (Mlpc.Legal_matching.solve rg).Mlpc.Cover.paths
+  @ List.map (fun (u, v) -> [ u; v ]) (Digraph.edges g)
+
+let cover_repr (c : Mlpc.Cover.t) =
+  ( List.map
+      (fun (p : Mlpc.Cover.path) ->
+        (p.Mlpc.Cover.vertices, p.Mlpc.Cover.rules, Hs.cubes p.Mlpc.Cover.start_space))
+      c.Mlpc.Cover.paths,
+    c.Mlpc.Cover.untestable )
+
+let same_answers a b =
+  List.equal
+    (fun (s, f, i, l) (s', f', i', l') ->
+      same_cubes s s' && same_cubes f f'
+      && Option.equal (fun (r, h) (r', h') -> r = r' && same_cubes h h') i i'
+      && l = l')
+    a b
+
+let carried_stores_exact (seed, ops) =
+  let rng = Sdn_util.Prng.create seed in
+  (* Two-table pipelines grow the closure fast: fewer switches there. *)
+  let two_table = seed mod 2 = 1 in
+  let topo =
+    Topogen.Topo_gen.rocketfuel_like rng ~n_switches:(if two_table then 4 else 6) ()
+  in
+  let spec =
+    if two_table then
+      { Topogen.Rule_gen.default_spec with acl_rules_per_switch = 1; flows_per_destination = 2 }
+    else Topogen.Rule_gen.default_spec
+  in
+  let net = Topogen.Rule_gen.install ~spec rng topo in
+  let old = RG.build net in
+  let old_queries = queries old in
+  let old_answers = answers old old_queries in
+  let misses rg = List.assoc "space_cache_misses" (RG.cache_stats rg) in
+  let old_misses = misses old in
+  let changed_tables =
+    List.sort_uniq compare
+      (List.init ops (fun _ ->
+           let entries = Network.all_entries net in
+           let v = List.nth entries (Sdn_util.Prng.int rng (List.length entries)) in
+           Network.remove_entry net v.FE.id;
+           if Sdn_util.Prng.bool rng then
+             ignore
+               (Network.add_entry net ~switch:v.FE.switch ~table:v.FE.table
+                  ~priority:v.FE.priority ~match_:v.FE.match_ ~set_field:v.FE.set_field
+                  v.FE.action);
+           (v.FE.switch, v.FE.table)))
+  in
+  match RG.update old ~changed_tables with
+  | exception RG.Cyclic_policy _ -> QCheck.assume_fail ()
+  | upd ->
+      let fresh = RG.build net in
+      same_graphs upd fresh;
+      (* Same network, same entry order: vertex numbers agree. The old
+         cover's surviving chains join the queries: their claims were
+         cached before the edit. *)
+      let survivors =
+        List.filter_map
+          (fun chain ->
+            try
+              Some
+                (List.map
+                   (fun v -> RG.vertex_of_entry upd (RG.vertex_entry old v).FE.id)
+                   chain)
+            with Not_found -> None)
+          old_queries
+        |> List.filter (fun chain ->
+               try RG.expand_path fresh chain <> [] with Invalid_argument _ -> false)
+      in
+      let fresh_queries = queries fresh @ survivors in
+      same_answers (answers upd fresh_queries) (answers fresh fresh_queries)
+      && same_answers (answers old old_queries) old_answers
+      && misses old = old_misses
+      &&
+      let warm = cover_repr (Mlpc.Legal_matching.solve upd) in
+      RG.invalidate_caches upd;
+      warm = cover_repr (Mlpc.Legal_matching.solve upd)
+
+let test_incremental_carried_stores =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"carried-over stores exact, argument intact" ~count:20
+       QCheck.(pair (int_bound 100_000) (1 -- 3))
+       carried_stores_exact)
 
 (* ------------------------------------------------------------------ *)
 (* Static policy checks: the lint engine's loop, blackhole and shadow
@@ -497,6 +641,9 @@ let () =
           Alcotest.test_case "remove rule" `Quick test_incremental_remove;
           Alcotest.test_case "random churn" `Quick test_incremental_random_churn;
           Alcotest.test_case "cycle detected" `Quick test_incremental_cycle_detected;
+          Alcotest.test_case "dirty legality claim evicted" `Quick
+            test_incremental_dirty_claim;
+          test_incremental_carried_stores;
         ] );
       ( "space caches",
         [
