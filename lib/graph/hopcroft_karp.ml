@@ -1,20 +1,6 @@
-type matching = { match_l : int array; match_r : int array; mutable size : int }
+type matching = { match_l : int array; match_r : int array; size : int }
 
 let infinity_dist = max_int
-
-let greedy ~nl ~nr adj =
-  let match_l = Array.make nl (-1) and match_r = Array.make nr (-1) in
-  let size = ref 0 in
-  for u = 0 to nl - 1 do
-    if match_l.(u) = -1 then
-      match List.find_opt (fun v -> match_r.(v) = -1) adj.(u) with
-      | Some v ->
-          match_l.(u) <- v;
-          match_r.(v) <- u;
-          incr size
-      | None -> ()
-  done;
-  { match_l; match_r; size = !size }
 
 let run ~nl ~nr adj =
   if Array.length adj <> nl then invalid_arg "Hopcroft_karp.run: adj length";

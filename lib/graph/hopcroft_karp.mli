@@ -8,18 +8,12 @@
 type matching = {
   match_l : int array;  (** left vertex -> matched right vertex or -1 *)
   match_r : int array;  (** right vertex -> matched left vertex or -1 *)
-  mutable size : int;
-      (** Mutable so incremental builders ({!Rand_matching.run_filtered})
-          can keep it in sync with [match_l]/[match_r] while callbacks
-          observe the partial matching. *)
+  size : int;  (** number of matched pairs *)
 }
 
 val run : nl:int -> nr:int -> int list array -> matching
 (** Maximum matching. [adj] must have length [nl] and neighbour indices
     in [\[0, nr)]. *)
-
-val greedy : nl:int -> nr:int -> int list array -> matching
-(** Simple greedy maximal matching (used as a baseline and for seeding). *)
 
 val konig_cover :
   nl:int -> nr:int -> int list array -> matching -> int list * int list

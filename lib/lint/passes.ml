@@ -10,29 +10,19 @@ module Plumbing = Verify.Plumbing
 
 type ctx = {
   net : Network.t;
-  entries : FE.t array;
-  index_of : (int, int) Hashtbl.t; (* entry id -> array index *)
-  inputs : Hs.t array;
-  outputs : Hs.t array;
+  entries : FE.t array; (* the plumbing graph's vertices *)
+  inputs : Hs.t array; (* and their input spaces *)
   probes : int list list option;
-  plumbing : Plumbing.t Lazy.t;
-      (* the verifier's reachability substrate; L001/L002 read their
-         facts off it so lint and [sdnprobe verify] cannot disagree *)
+  plumbing : Plumbing.t;
+      (* the verifier's reachability substrate; every pass reads its
+         spaces off it, L001/L002 also its edges, so lint and
+         [sdnprobe verify] cannot disagree *)
 }
 
 let make_ctx ?probes net =
-  let entries = Array.of_list (Network.all_entries net) in
-  let index_of = Hashtbl.create (Array.length entries) in
-  Array.iteri (fun i (e : FE.t) -> Hashtbl.add index_of e.id i) entries;
-  {
-    net;
-    entries;
-    index_of;
-    inputs = Array.map (Network.input_space net) entries;
-    outputs = Array.map (Network.output_space net) entries;
-    probes;
-    plumbing = lazy (Plumbing.build net);
-  }
+  let plumbing = Plumbing.build net in
+  let base = Plumbing.base plumbing in
+  { net; entries = base.vertices; inputs = base.inputs; probes; plumbing }
 
 let network ctx = ctx.net
 
@@ -55,7 +45,7 @@ let table_entries ctx ~switch ~table =
    precondition either way. *)
 
 let pass_forwarding_loop ctx =
-  let plumbing = Lazy.force ctx.plumbing in
+  let plumbing = ctx.plumbing in
   match Plumbing.find_cycle plumbing with
   | None -> []
   | Some cycle ->
@@ -84,7 +74,7 @@ let pass_forwarding_loop ctx =
    raw match), so witness cube lists are bit-identical. *)
 
 let pass_blackhole ctx =
-  Plumbing.leaks (Lazy.force ctx.plumbing)
+  Plumbing.leaks ctx.plumbing
   |> List.map (fun ((r : FE.t), sw, leaked) ->
          D.make ~check:"L002-blackhole" ~severity:D.Warning ~switch:sw ~table:0
            ~entries:[ r.id ] ~witness:leaked
@@ -294,7 +284,7 @@ let pass_redundant ctx =
       let rec scan = function
         | [] -> ()
         | (r : FE.t) :: rest ->
-            let i = Hashtbl.find ctx.index_of r.id in
+            let i = Option.get (Plumbing.vertex_of_entry ctx.plumbing r.id) in
             if not (Hs.is_empty ctx.inputs.(i)) then begin
               (* Fold the rule's input space through the rest of the
                  table in lookup order. *)

@@ -2,9 +2,9 @@
 
     Each pass is a pure function from an analysis context to a list of
     {!Diagnostic.t}, registered under a stable check id. The context
-    pre-computes what every pass over a policy needs — the entry array
-    and each entry's input/output header spaces (§V-A's [r.in]/[r.out])
-    — so passes share one O(rules) space computation.
+    holds the verifier's plumbing graph ({!Verify.Plumbing}), built once
+    per policy: every pass reads the entries and their input spaces
+    (§V-A's [r.in]) off it, and L001/L002 also its edges.
 
     The catalog (ids, severities, witness semantics, examples) is
     documented in [docs/LINT.md]. *)

@@ -80,18 +80,16 @@ let c_legal_hits = Metrics.Counter.create "rulegraph.cache.legal.hits"
 let c_legal_misses = Metrics.Counter.create "rulegraph.cache.legal.misses"
 
 type t = {
-  network : Network.t;
-  vertices : Flow_entry.t array;
-  index_of : (int, int) Hashtbl.t; (* entry id -> vertex *)
-  inputs : Hs.t array;
-  outputs : Hs.t array;
-  base : Digraph.t;
+  base : Base.t; (* Step 1: vertices, spaces, base edges *)
   full : Digraph.t; (* base + closure edges *)
   witness : (int * int, int list list) Hashtbl.t;
       (* closure edge -> witness interiors, all in entry ids *)
   mutable pruned : int; (* closure expansions cut by the subsumption check *)
   caches : caches;
 }
+
+(* Witness interiors remembered per closure edge. *)
+let max_witnesses = 3
 
 let cached t table (chit, cmiss) key compute =
   let stats = t.caches.stats in
@@ -121,28 +119,28 @@ let cache_stats t =
     ("space_cache_misses", t.caches.stats.misses);
   ]
 
-let network t = t.network
+let network t = t.base.network
 
-let n_vertices t = Array.length t.vertices
+let n_vertices t = Array.length t.base.vertices
 
-let vertex_entry t v = t.vertices.(v)
+let vertex_entry t v = t.base.vertices.(v)
 
 let vertex_of_entry t id =
-  match Hashtbl.find_opt t.index_of id with Some v -> v | None -> raise Not_found
+  match Hashtbl.find_opt t.base.index_of id with Some v -> v | None -> raise Not_found
 
-let input t v = t.inputs.(v)
+let input t v = t.base.inputs.(v)
 
-let output t v = t.outputs.(v)
+let output t v = t.base.outputs.(v)
 
-let base_graph t = t.base
+let base_graph t = t.base.graph
 
 let graph t = t.full
 
-let id t v = t.vertices.(v).Flow_entry.id
+let id t v = t.base.vertices.(v).Flow_entry.id
 
 let ids t path = List.map (id t) path
 
-let vertices_of t ids = List.map (Hashtbl.find t.index_of) ids
+let vertices_of t ids = List.map (Hashtbl.find t.base.index_of) ids
 
 let is_closure_edge t u v = Hashtbl.mem t.witness (id t u, id t v)
 
@@ -151,105 +149,27 @@ let witnesses t u v =
   | Some w -> List.map (vertices_of t) w
   | None -> []
 
-(* Hull prefilter for the all-pairs edge scans. [Hs.inter out in] over
-   shadow-fragmented spaces is the superlinear hotspot of the flat
-   build (every cube of one side against every cube of the other, plus
-   the quadratic subsumption pass on the pieces) — at 200 switches it
-   dominates the build. A space's hull (smallest enclosing cube) is a
-   one-word-per-chunk summary: disjoint hulls imply an empty
-   intersection, so the expensive [Hs.inter] only runs on pairs whose
-   hulls overlap. [None] = empty space, which can never contribute an
-   edge. See docs/PERF.md for before/after numbers. *)
-let hull_memo spaces =
-  let memo = Array.make (Array.length spaces) None in
-  fun i ->
-    match memo.(i) with
-    | Some h -> h
-    | None ->
-        let h = Hs.hull spaces.(i) in
-        memo.(i) <- Some h;
-        h
-
-let may_intersect out_hull in_hull i j =
-  match (out_hull i, in_hull j) with
-  | Some a, Some b -> not (Hspace.Cube.disjoint a b)
-  | _ -> false
-
-(* Step 1: pairwise edges. An edge (r_i, r_j) exists iff r_j sits where
-   r_i's action sends the packet and r_i.out ∩ r_j.in ≠ ∅.
-
-   The scan is all-pairs between neighboring tables, so every table is
-   visited once per rule that feeds it — resolving its entry list and
-   each entry's vertex index through hashtables on every visit was the
-   other half of the superlinear hotspot (20M+ lookups at 200-switch
-   default policy). Candidate vertex arrays are resolved once per
-   table; edge order is unchanged (table entry order either way). *)
-let build_base net vertices index_of inputs outputs =
-  let n = Array.length vertices in
-  let g = Digraph.create n in
-  let out_hull = hull_memo outputs and in_hull = hull_memo inputs in
-  let table_verts = Hashtbl.create 64 in
-  let verts_at ~switch ~table =
-    match Hashtbl.find_opt table_verts (switch, table) with
-    | Some a -> a
-    | None ->
-        let a =
-          Array.of_list
-            (List.map
-               (fun (q : Flow_entry.t) -> Hashtbl.find index_of q.id)
-               (Openflow.Flow_table.entries (Network.table net ~switch ~table)))
-        in
-        Hashtbl.add table_verts (switch, table) a;
-        a
-  in
-  for i = 0 to n - 1 do
-    let r = vertices.(i) in
-    let candidates =
-      match r.Flow_entry.action with
-      | Flow_entry.Drop -> [||]
-      | Flow_entry.Output _ -> (
-          match Network.next_switch net r with
-          | None -> [||]
-          | Some sw -> verts_at ~switch:sw ~table:0)
-      | Flow_entry.Goto_table tb -> verts_at ~switch:r.Flow_entry.switch ~table:tb
-    in
-    match out_hull i with
-    | None -> ()
-    | Some hi ->
-        Array.iter
-          (fun j ->
-            let overlaps =
-              match in_hull j with
-              | Some hj -> not (Hspace.Cube.disjoint hi hj)
-              | None -> false
-            in
-            if overlaps && Hs.inter_nonempty outputs.(i) inputs.(j) then
-              Digraph.add_edge g i j)
-          candidates
-  done;
-  g
-
 (* Propagate a header space through one more rule (Definition 1). *)
-let step inputs vertices hs j =
-  let r = vertices.(j) in
-  Hs.apply_set_field ~set:r.Flow_entry.set_field (Hs.inter hs inputs.(j))
+let step (b : Base.t) hs j =
+  let r = b.vertices.(j) in
+  Hs.apply_set_field ~set:r.Flow_entry.set_field (Hs.inter hs b.inputs.(j))
 
 (* Legal closure exploration from one source vertex: each distinct
    legally-reached vertex yields a closure edge with the interior of the
    discovering path as witness. Per-node subsumption pruning keeps the
    exploration polynomial in practice: a new header space at a node is
    dropped when contained in one already explored. *)
-let closure_from t g u ~max_witnesses =
+let closure_from t g u =
   let seen : (int, Hs.t list) Hashtbl.t = Hashtbl.create 16 in
   let q = Queue.create () in
   (* State: (current vertex, header space after it, interior so far in
      entry ids, reversed). *)
-  Queue.add (u, t.outputs.(u), []) q;
+  Queue.add (u, t.base.outputs.(u), []) q;
   while not (Queue.is_empty q) do
     let v, hs, interior = Queue.pop q in
     List.iter
       (fun w ->
-        let hs' = step t.inputs t.vertices hs w in
+        let hs' = step t.base hs w in
         if not (Hs.is_empty hs') then begin
           let dominated =
             match Hashtbl.find_opt seen w with
@@ -260,7 +180,7 @@ let closure_from t g u ~max_witnesses =
           else begin
             Hashtbl.replace seen w
               (hs' :: (Option.value ~default:[] (Hashtbl.find_opt seen w)));
-            if interior <> [] && not (Digraph.mem_edge t.base u w) then begin
+            if interior <> [] && not (Digraph.mem_edge t.base.graph u w) then begin
               let key = (id t u, id t w) in
               let ws = Option.value ~default:[] (Hashtbl.find_opt t.witness key) in
               if List.length ws < max_witnesses then begin
@@ -271,221 +191,51 @@ let closure_from t g u ~max_witnesses =
             Queue.add (w, hs', id t w :: interior) q
           end
         end)
-      (Digraph.succ t.base v)
+      (Digraph.succ t.base.graph v)
   done
 
-(* Step 2 over every vertex. *)
-let build_closure t ~max_witnesses =
-  let g = Digraph.copy t.base in
-  for u = 0 to n_vertices t - 1 do
-    closure_from t g u ~max_witnesses
-  done;
-  g
+let check_acyclic (b : Base.t) =
+  match Digraph.find_cycle b.graph with
+  | Some cycle ->
+      raise (Cyclic_policy (List.map (fun v -> b.vertices.(v).Flow_entry.id) cycle))
+  | None -> ()
 
-let build ?(closure = true) ?(max_witnesses = 3) net =
-  let vertices = Array.of_list (Network.all_entries net) in
-  let index_of = Hashtbl.create (Array.length vertices) in
-  Array.iteri (fun i (e : Flow_entry.t) -> Hashtbl.add index_of e.id i) vertices;
-  let inputs = Array.map (Network.input_space net) vertices in
-  let outputs = Array.map (Network.output_space net) vertices in
-  let base = build_base net vertices index_of inputs outputs in
-  (match Digraph.find_cycle base with
-  | Some cycle -> raise (Cyclic_policy (List.map (fun v -> vertices.(v).Flow_entry.id) cycle))
-  | None -> ());
+let build ?(closure = true) net =
+  let base = Base.build net in
+  check_acyclic base;
   let t =
     {
-      network = net;
-      vertices;
-      index_of;
-      inputs;
-      outputs;
       base;
-      full = base;
+      full = base.graph;
       witness = Hashtbl.create 64;
       pruned = 0;
       caches = fresh_caches ();
     }
   in
-  if closure then { t with full = build_closure t ~max_witnesses } else t
+  if not closure then t
+  else begin
+    (* Step 2 over every vertex. *)
+    let full = Digraph.copy base.graph in
+    for u = 0 to n_vertices t - 1 do
+      closure_from t full u
+    done;
+    { t with full }
+  end
 
 (* Incremental rebuild after flow-table churn. See the interface for
-   the reuse strategy; correctness rests on three observations:
-   - input/output spaces depend only on an entry's own table;
-   - a base edge depends only on its endpoints' spaces (and the fixed
-     topology);
-   - the per-source closure search from [u] can only change if [u] can
-     reach an affected vertex — in the old graph (an old path may have
-     died) or the new one (a new path may have appeared). *)
-let update ?(max_witnesses = 3) old ~changed_tables =
-  let net = old.network in
-  let vertices = Array.of_list (Network.all_entries net) in
-  let n = Array.length vertices in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i (e : Flow_entry.t) -> Hashtbl.add index_of e.id i) vertices;
-  let in_changed (e : Flow_entry.t) =
-    List.exists (fun (sw, tb) -> sw = e.switch && tb = e.table) changed_tables
-  in
-  (* Space-diff marking (the incremental verifier's trick): entries of a
-     changed table have their input/output spaces recomputed, but only
-     those whose REPRESENTATION actually differs — plus brand-new
-     entries — count as affected. Removing a low-priority rule leaves
-     every rule it never shadowed bit-identical, so the affected set
-     tracks the semantic edit size, not the table size; everything
-     downstream (edge recomputation, closure dirtiness, cache
-     retention) shrinks with it. Representation equality (same cubes in
-     the same order), not mere set equality, is required: retained
-     caches and copied spaces must match a scratch build bit for bit. *)
-  let hs_repr_equal a b =
-    let ca = Hs.cubes a and cb = Hs.cubes b in
-    List.compare_lengths ca cb = 0 && List.for_all2 Hspace.Cube.equal ca cb
-  in
-  let empty = Hs.empty (Network.header_len net) in
-  let affected_arr = Array.make n false in
-  let inputs = Array.make n empty in
-  let outputs = Array.make n empty in
-  Array.iteri
-    (fun i (e : Flow_entry.t) ->
-      match Hashtbl.find_opt old.index_of e.id with
-      | Some ov when not (in_changed e) ->
-          inputs.(i) <- old.inputs.(ov);
-          outputs.(i) <- old.outputs.(ov)
-      | Some ov ->
-          let inp = Network.input_space net e
-          and out = Network.output_space net e in
-          inputs.(i) <- inp;
-          outputs.(i) <- out;
-          if
-            not
-              (hs_repr_equal inp old.inputs.(ov)
-              && hs_repr_equal out old.outputs.(ov))
-          then affected_arr.(i) <- true
-      | None ->
-          inputs.(i) <- Network.input_space net e;
-          outputs.(i) <- Network.output_space net e;
-          affected_arr.(i) <- true)
-    vertices;
-  (* On new entries [affected] reads the array; on removed ones (only
-     reachable through [old.vertices]) it is vacuously true. *)
-  let affected (e : Flow_entry.t) =
-    match Hashtbl.find_opt index_of e.id with
-    | Some i -> affected_arr.(i)
-    | None -> true
-  in
-  (* Base edges: copy edges between unaffected endpoints; recompute the
-     rest. Candidate predecessors of an affected vertex live on switches
-     linked into its switch (or earlier tables of the same switch). *)
-  let base = Digraph.create n in
-  Digraph.iter_edges
-    (fun ou ov ->
-      let eu = old.vertices.(ou) and ev = old.vertices.(ov) in
-      if not (affected eu || affected ev) then
-        match (Hashtbl.find_opt index_of eu.id, Hashtbl.find_opt index_of ev.id) with
-        | Some i, Some j -> Digraph.add_edge base i j
-        | _ -> ())
-    old.base;
-  let entries_at ~switch ~table =
-    Openflow.Flow_table.entries (Network.table net ~switch ~table)
-  in
-  let out_hull = hull_memo outputs and in_hull = hull_memo inputs in
-  let try_edge i j =
-    if
-      may_intersect out_hull in_hull i j
-      && Hs.inter_nonempty outputs.(i) inputs.(j)
-    then Digraph.add_edge base i j
-  in
-  let candidates_from i =
-    let r = vertices.(i) in
-    match r.Flow_entry.action with
-    | Flow_entry.Drop -> []
-    | Flow_entry.Output _ -> (
-        match Network.next_switch net r with
-        | None -> []
-        | Some sw -> entries_at ~switch:sw ~table:0)
-    | Flow_entry.Goto_table tb -> entries_at ~switch:r.Flow_entry.switch ~table:tb
-  in
-  (* Does executing [p] hand the packet to rule [q]'s flow table? *)
-  let leads_to (p : Flow_entry.t) (q : Flow_entry.t) =
-    match p.action with
-    | Flow_entry.Drop -> false
-    | Flow_entry.Output _ ->
-        q.table = 0 && Network.next_switch net p = Some q.switch
-    | Flow_entry.Goto_table tb -> p.switch = q.switch && tb = q.table
-  in
-  Array.iteri
-    (fun i (e : Flow_entry.t) ->
-      if affected e then begin
-        (* Outgoing edges of the affected vertex. *)
-        List.iter
-          (fun (q : Flow_entry.t) -> try_edge i (Hashtbl.find index_of q.id))
-          (candidates_from i);
-        (* Incoming edges: rules on switches linked into ours, plus
-           earlier tables of the same switch (goto sources). *)
-        let topo = Network.topology net in
-        let feeders =
-          List.concat_map
-            (fun sw ->
-              List.concat_map
-                (fun tb -> entries_at ~switch:sw ~table:tb)
-                (List.init (Network.n_tables net) Fun.id))
-            (Openflow.Topology.neighbors topo e.switch)
-          @ List.concat_map
-              (fun tb -> entries_at ~switch:e.switch ~table:tb)
-              (List.init e.table Fun.id)
-        in
-        List.iter
-          (fun (p : Flow_entry.t) ->
-            if leads_to p e then try_edge (Hashtbl.find index_of p.id) i)
-          feeders
-      end)
-    vertices;
-  (* The edge SET above is that of a fresh build, but the insertion
-     ORDER is not (copied edges first, recomputed ones appended) — and
-     [Digraph.succ] exposes insertion order, which the MLPC augmentation
-     search consults candidate by candidate. Re-insert every edge in
-     [build_base]'s canonical order so an updated graph is
-     adjacency-order identical to a scratch build: the delta planning
-     path relies on this to reproduce a scratch re-plan byte for byte.
-     All successors of a vertex live in one flow table (the next
-     switch's table 0, or a later table of the same switch), and
-     [build_base] visits candidates in that table's entry order — so
-     sorting each successor list by table rank reproduces the canonical
-     order without re-scanning whole candidate tables. *)
-  let base =
-    let g = Digraph.create n in
-    let rank_tbl = Hashtbl.create 16 in
-    let rank_of (q : Flow_entry.t) =
-      let key = (q.Flow_entry.switch, q.Flow_entry.table) in
-      let tbl =
-        match Hashtbl.find_opt rank_tbl key with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Hashtbl.create 64 in
-            List.iteri
-              (fun k (e : Flow_entry.t) -> Hashtbl.add tbl e.id k)
-              (entries_at ~switch:q.Flow_entry.switch ~table:q.Flow_entry.table);
-            Hashtbl.add rank_tbl key tbl;
-            tbl
-      in
-      Hashtbl.find tbl q.Flow_entry.id
-    in
-    Array.iteri
-      (fun i (_ : Flow_entry.t) ->
-        Digraph.succ base i
-        |> List.map (fun j -> (rank_of vertices.(j), j))
-        |> List.sort compare
-        |> List.iter (fun (_, j) -> Digraph.add_edge g i j))
-      vertices;
-    g
-  in
-  (match Digraph.find_cycle base with
-  | Some cycle ->
-      raise (Cyclic_policy (List.map (fun v -> vertices.(v).Flow_entry.id) cycle))
-  | None -> ());
+   the reuse strategy; {!Base.patch} redoes Step 1, and the per-source
+   closure search from [u] can only change if [u] can reach an affected
+   vertex — in the old graph (an old path may have died) or the new one
+   (a new path may have appeared). *)
+let update old ~changed_tables =
+  let { Base.base; affected; remap = o2n } = Base.patch old.base ~changed_tables in
+  check_acyclic base;
+  let n = Array.length base.vertices in
   (* Closure: sources that could reach an affected vertex (old or new
      graph) are re-explored; everything else keeps its closure edges and
      witnesses. *)
   let affected_new = ref [] in
-  Array.iteri (fun i e -> if affected e then affected_new := i :: !affected_new) vertices;
+  Array.iteri (fun i a -> if a then affected_new := i :: !affected_new) affected;
   let affected_new = !affected_new in
   let ancestors g seeds =
     let tr = Digraph.transpose g in
@@ -510,25 +260,17 @@ let update ?(max_witnesses = 3) old ~changed_tables =
     done;
     mark
   in
-  (* Old-index -> new-index map (-1 = removed), so the dirtiness marking
-     and the closure copy below remap with array reads instead of
-     per-vertex hashtable lookups. *)
-  let o2n =
-    Array.map
-      (fun (e : Flow_entry.t) -> Option.value ~default:(-1) (Hashtbl.find_opt index_of e.id))
-      old.vertices
-  in
   let affected_old =
     List.filter
-      (fun ov -> o2n.(ov) < 0 || affected_arr.(o2n.(ov)))
-      (List.init (Array.length old.vertices) Fun.id)
+      (fun ov -> o2n.(ov) < 0 || affected.(o2n.(ov)))
+      (List.init (Array.length old.base.vertices) Fun.id)
   in
   (* Dirty: an ancestor of an affected vertex in the new base graph (new
      entries are affected, so dirty) or, through the map, the old one. *)
-  let dirty_arr = ancestors base affected_new in
+  let dirty_arr = ancestors base.graph affected_new in
   Array.iteri
     (fun ov d -> if d && o2n.(ov) >= 0 then dirty_arr.(o2n.(ov)) <- true)
-    (ancestors old.base affected_old);
+    (ancestors old.base.graph affected_old);
   let dirty i = dirty_arr.(i) in
   (* Closure edges of clean sources, per source in the OLD graph's
      successor order. A clean source's reachable cone is entirely clean
@@ -545,19 +287,19 @@ let update ?(max_witnesses = 3) old ~changed_tables =
      scratch below, which appends their edges in discovery order, so
      the updated [full] is adjacency-order identical to a scratch
      build's. *)
-  let full = Digraph.copy base in
+  let full = Digraph.copy base.graph in
   let witness = Hashtbl.copy old.witness in
   Array.iteri
     (fun ou (e : Flow_entry.t) ->
-      let u = o2n.(ou) and n_base = Digraph.out_degree old.base ou in
+      let u = o2n.(ou) and n_base = Digraph.out_degree old.base.graph ou in
       let clean = u >= 0 && not (dirty u) in
       List.iteri
         (fun k (ov, _) ->
           if k < n_base then ()
           else if clean then Digraph.add_new_edge full u o2n.(ov)
-          else Hashtbl.remove witness (e.id, old.vertices.(ov).Flow_entry.id))
+          else Hashtbl.remove witness (e.id, old.base.vertices.(ov).Flow_entry.id))
         (Digraph.succ_weighted old.full ou))
-    old.vertices;
+    old.base.vertices;
   (* Space-cache carry-over: every cached value is a pure function of
      the entries on its key path, so a key through no removed or
      affected entry stays valid — and, keyed by entry ids, needs no
@@ -577,15 +319,15 @@ let update ?(max_witnesses = 3) old ~changed_tables =
   let mark set (e : Flow_entry.t) = Hashtbl.replace set e.id () in
   Array.iteri
     (fun ov e -> if o2n.(ov) < 0 then (mark changed e; mark redone e))
-    old.vertices;
+    old.base.vertices;
   Array.iteri
     (fun i e ->
-      if affected_arr.(i) then mark changed e;
+      if affected.(i) then mark changed e;
       if dirty i then mark redone e)
-    vertices;
+    base.vertices;
   let through set key = List.exists (Hashtbl.mem set) key in
   let table0 = function
-    | head :: _ -> vertices.(Hashtbl.find index_of head).Flow_entry.table = 0
+    | head :: _ -> base.vertices.(Hashtbl.find base.index_of head).Flow_entry.table = 0
     | [] -> false
   in
   let carry table stale =
@@ -603,27 +345,14 @@ let update ?(max_witnesses = 3) old ~changed_tables =
       own = Sdn_parallel.Ownership.register ~name:"rule_graph.caches";
     }
   in
-  let t =
-    {
-      network = net;
-      vertices;
-      index_of;
-      inputs;
-      outputs;
-      base;
-      full;
-      witness;
-      pruned = old.pruned;
-      caches;
-    }
-  in
+  let t = { base; full; witness; pruned = old.pruned; caches } in
   for u = 0 to n - 1 do
-    if dirty u then closure_from t full u ~max_witnesses
+    if dirty u then closure_from t full u
   done;
   t
 
 let expand_pair t u v =
-  if Digraph.mem_edge t.base u v then [ v ]
+  if Digraph.mem_edge t.base.graph u v then [ v ]
   else
     match Hashtbl.find_opt t.witness (id t u, id t v) with
     | Some (interior :: _) -> vertices_of t interior @ [ v ]
@@ -639,12 +368,12 @@ let expand_path t = function
       first :: loop path
 
 let forward_space t path =
-  let len = Network.header_len t.network in
+  let len = Network.header_len t.base.network in
   match path with
   | [] -> Hs.empty len
   | _ ->
       cached t t.caches.forward (c_forward_hits, c_forward_misses) (ids t path) (fun () ->
-          List.fold_left (fun hs v -> step t.inputs t.vertices hs v) (Hs.full len) path)
+          List.fold_left (fun hs v -> step t.base hs v) (Hs.full len) path)
 
 (* [start_space] over a path and its id spelling. Memoized on suffixes:
    the backward fold means every cached tail is reusable verbatim when
@@ -654,13 +383,13 @@ let rec start_of t path key =
   | v :: rest, _ :: key_rest ->
       cached t t.caches.start (c_start_hits, c_start_misses) key (fun () ->
           let after = start_of t rest key_rest in
-          let r = t.vertices.(v) in
-          Hs.inter t.inputs.(v) (Hs.inverse_set_field ~set:r.Flow_entry.set_field after))
-  | _ -> Hs.full (Network.header_len t.network)
+          let r = t.base.vertices.(v) in
+          Hs.inter t.base.inputs.(v) (Hs.inverse_set_field ~set:r.Flow_entry.set_field after))
+  | _ -> Hs.full (Network.header_len t.base.network)
 
 let start_space t path =
   match path with
-  | [] -> Hs.empty (Network.header_len t.network)
+  | [] -> Hs.empty (Network.header_len t.base.network)
   | _ -> start_of t path (ids t path)
 
 (* [injection_plan] over a path and its id spelling; the plan comes back
@@ -670,7 +399,7 @@ let rec inject_of t rules key =
   | [] -> None
   | head :: _ ->
       cached t t.caches.inject (c_inject_hits, c_inject_misses) key (fun () ->
-          let e = t.vertices.(head) in
+          let e = t.base.vertices.(head) in
           if e.Flow_entry.table = 0 then
             let hs = start_of t rules key in
             if Hs.is_empty hs then None else Some (key, hs)
@@ -678,7 +407,7 @@ let rec inject_of t rules key =
             (* Reach the head through its own switch's earlier tables. *)
             List.find_map
               (fun p ->
-                let pe = t.vertices.(p) in
+                let pe = t.base.vertices.(p) in
                 let rules' = p :: rules and key' = pe.Flow_entry.id :: key in
                 if
                   pe.Flow_entry.switch = e.Flow_entry.switch
@@ -686,7 +415,7 @@ let rec inject_of t rules key =
                   && not (Hs.is_empty (start_of t rules' key'))
                 then inject_of t rules' key'
                 else None)
-              (Digraph.pred t.base head))
+              (Digraph.pred t.base.graph head))
 
 let is_legal t path = not (Hs.is_empty (forward_space t (expand_path t path)))
 
@@ -703,7 +432,7 @@ let is_injectable t path =
 let stats t =
   [
     ("vertices", n_vertices t);
-    ("base_edges", Digraph.n_edges t.base);
-    ("closure_edges", Digraph.n_edges t.full - Digraph.n_edges t.base);
+    ("base_edges", Digraph.n_edges t.base.graph);
+    ("closure_edges", Digraph.n_edges t.full - Digraph.n_edges t.base.graph);
     ("pruned", t.pruned);
   ]

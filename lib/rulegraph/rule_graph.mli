@@ -5,12 +5,15 @@
     table), and trigger [r_j]. Two graphs are kept:
 
     - the {e base} graph [G1] from Step 1 (pairwise edges between rules
-      on neighbouring switches, plus goto-table edges);
+      on neighbouring switches, plus goto-table edges), built and
+      patched by {!Base} — the same construction the verifier's
+      plumbing graph labels;
     - the {e rule graph} [G] from Step 2: [G1] plus the legal transitive
       closure — an extra edge [(u, v)] whenever a legal path leads from
-      [u] to [v]. Closure edges carry {e witness} interiors so they can
-      be expanded back into real rule sequences (the paper's
-      [b2 -> e2  =>  b2 -> c2 -> e2] conversion).
+      [u] to [v]. Closure edges carry {e witness} interiors (at most
+      three per edge) so they can be expanded back into real rule
+      sequences (the paper's [b2 -> e2  =>  b2 -> c2 -> e2]
+      conversion).
 
     Construction assumes the routing policy is loop-free; {!build}
     rejects cyclic policies (detectable in polynomial time, as the
@@ -21,11 +24,9 @@ type t
 exception Cyclic_policy of int list
 (** Entry ids forming a forwarding loop in the base graph. *)
 
-val build : ?closure:bool -> ?max_witnesses:int -> Openflow.Network.t -> t
-(** Build the rule graph. [closure] (default true) runs Step 2;
-    [max_witnesses] (default 3) bounds the witness interiors remembered
-    per closure edge. Raises {!Cyclic_policy} when the forwarding policy
-    loops. *)
+val build : ?closure:bool -> Openflow.Network.t -> t
+(** Build the rule graph. [closure] (default true) runs Step 2. Raises
+    {!Cyclic_policy} when the forwarding policy loops. *)
 
 val network : t -> Openflow.Network.t
 
@@ -105,19 +106,19 @@ val invalidate_caches : t -> unit
     valid for the network state the graph was built against), or to
     benchmark cold-cache behavior. *)
 
-val update : ?max_witnesses:int -> t -> changed_tables:(int * int) list -> t
+val update : t -> changed_tables:(int * int) list -> t
 (** Incremental rebuild after flow-table churn (§VIII-C: "SDNProbe can
     update the rule graph incrementally to reduce overhead"). The
     network referenced by the graph has already been mutated;
     [changed_tables] lists the [(switch, table)] pairs whose entries
     were added, removed or modified.
 
-    Per-rule input/output spaces are recomputed only for entries in
-    changed tables; base edges only where an endpoint's spaces changed;
-    and the legal-closure search is re-run only from {e dirty} vertices,
-    those that can reach an affected vertex (ancestors in the old or new
-    base graph) — every other source keeps its closure edges and
-    witnesses. The witness table and the space caches are keyed by
+    {!Base.patch} recomputes per-rule input/output spaces only for
+    entries in changed tables and base edges only where an endpoint's
+    spaces changed; the legal-closure search is re-run only from
+    {e dirty} vertices, those that can reach an affected vertex
+    (ancestors in the old or new base graph) — every other source keeps
+    its closure edges and witnesses. The witness table and the space caches are keyed by
     entry ids, which survive renumbering, so they are copied and the
     stale keys evicted: witnesses of removed or dirty sources, cache
     keys through a removed or affected entry, injection plans and

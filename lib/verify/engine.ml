@@ -307,26 +307,11 @@ let eval_loop_free t inv =
 (* Blackhole facts are cached per entry id and invalidated by edits
    (the entry's own table, or its next hop's table 0), so re-checks
    after an edit only recompute the affected diffs. *)
-let leak_of t (r : FE.t) =
+let leak_of t v (r : FE.t) =
   match Hashtbl.find_opt t.leak_cache r.FE.id with
   | Some cached -> cached
   | None ->
-      let net = network t in
-      let fresh =
-        match r.FE.action with
-        | FE.Output _ -> (
-            match Network.next_switch net r with
-            | None -> None
-            | Some sw ->
-                let leaked =
-                  List.fold_left
-                    (fun space (q : FE.t) -> Hs.diff_cube space q.FE.match_)
-                    (Network.output_space net r)
-                    (Openflow.Flow_table.entries (Network.table net ~switch:sw ~table:0))
-                in
-                if Hs.is_empty leaked then None else Some (sw, leaked))
-        | FE.Drop | FE.Goto_table _ -> None
-      in
+      let fresh = Plumbing.leak t.plumbing v in
       Hashtbl.replace t.leak_cache r.FE.id fresh;
       fresh
 
@@ -336,7 +321,7 @@ let eval_no_blackhole t inv =
   let leaking = ref [] in
   for v = n - 1 downto 0 do
     let r = Plumbing.vertex_entry t.plumbing v in
-    match leak_of t r with
+    match leak_of t v r with
     | Some (sw, leaked) -> leaking := (v, r, sw, leaked) :: !leaking
     | None -> ()
   done;
@@ -498,15 +483,11 @@ let update t ~changed_tables =
         Hashtbl.replace match_delta sw !delta
       end)
     changed_tables;
-  let output_overlaps_delta (e : FE.t) sw =
+  let output_overlaps_delta v sw =
     match Hashtbl.find_opt match_delta sw with
     | None -> false
     | Some delta ->
-        let out =
-          match Plumbing.vertex_of_entry t.plumbing e.FE.id with
-          | Some v -> Plumbing.output t.plumbing v
-          | None -> Network.output_space net e
-        in
+        let out = Plumbing.output t.plumbing v in
         List.exists (fun m -> not (Hs.is_empty (Hs.inter_cube out m))) delta
   in
   let stale =
@@ -514,18 +495,13 @@ let update t ~changed_tables =
        eviction set is order-free *)
     Hashtbl.fold
       (fun id _ acc ->
-        match Network.find_entry net id with
+        match Plumbing.vertex_of_entry t.plumbing id with
         | None -> id :: acc
-        | Some e ->
-            let affected =
-              match Plumbing.vertex_of_entry t.plumbing id with
-              | Some v -> patch.Plumbing.affected.(v)
-              | None -> true
-            in
+        | Some v ->
             if
-              affected
-              || (match Network.next_switch net e with
-                 | Some sw -> output_overlaps_delta e sw
+              patch.Plumbing.affected.(v)
+              || (match Network.next_switch net (Plumbing.vertex_entry t.plumbing v) with
+                 | Some sw -> output_overlaps_delta v sw
                  | None -> false)
             then id :: acc
             else acc)

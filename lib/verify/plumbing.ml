@@ -2,284 +2,132 @@ module Hs = Hspace.Hs
 module FE = Openflow.Flow_entry
 module Network = Openflow.Network
 module Flow_table = Openflow.Flow_table
-module Topology = Openflow.Topology
 module Digraph = Sdngraph.Digraph
+module Base = Rulegraph.Base
 
 type t = {
-  net : Network.t;
-  vertices : FE.t array;
-  index_of : (int, int) Hashtbl.t; (* entry id -> vertex index *)
-  inputs : Hs.t array;
-  outputs : Hs.t array;
-  graph : Digraph.t;
+  base : Base.t;
   labels : (int * int, Hs.t) Hashtbl.t;
 }
 
-let network t = t.net
+let base t = t.base
 
-let n_vertices t = Array.length t.vertices
+let network t = t.base.network
 
-let vertex_entry t v = t.vertices.(v)
+let n_vertices t = Array.length t.base.vertices
 
-let vertex_of_entry t id = Hashtbl.find_opt t.index_of id
+let vertex_entry t v = t.base.vertices.(v)
 
-let input t v = t.inputs.(v)
+let vertex_of_entry t id = Hashtbl.find_opt t.base.index_of id
 
-let output t v = t.outputs.(v)
+let input t v = t.base.inputs.(v)
 
-let graph t = t.graph
+let output t v = t.base.outputs.(v)
 
-let succ t v = Digraph.succ t.graph v
+let graph t = t.base.graph
+
+let succ t v = Digraph.succ t.base.graph v
 
 let label t u v =
   match Hashtbl.find_opt t.labels (u, v) with
   | Some hs -> hs
-  | None -> Hs.empty (Network.header_len t.net)
+  | None -> Hs.empty (Network.header_len t.base.network)
 
-(* Successor candidates of a rule: the entries its action hands the
-   packet to — the next switch's table 0 for an output onto a live
-   link, a later table of the same switch for a goto. The iteration
-   order (entries ascending, candidates in lookup order) is the one
-   lint's historical L001 pass used, so [find_cycle] reports the same
-   cycle. *)
-let candidates_from net (r : FE.t) =
-  match r.action with
-  | FE.Drop -> []
-  | FE.Output _ -> (
-      match Network.next_switch net r with
-      | None -> []
-      | Some sw -> Flow_table.entries (Network.table net ~switch:sw ~table:0))
-  | FE.Goto_table tb ->
-      Flow_table.entries (Network.table net ~switch:r.switch ~table:tb)
+(* Attach [label u v] to every edge of the base graph (each has a
+   non-empty hand-off space by construction). *)
+let labeled (base : Base.t) label =
+  let labels = Hashtbl.create (4 * Array.length base.vertices) in
+  Digraph.iter_edges (fun u v -> Hashtbl.replace labels (u, v) (label u v)) base.graph;
+  { base; labels }
 
-let add_edge t u v =
-  let hand_off = Hs.inter t.outputs.(u) t.inputs.(v) in
-  if not (Hs.is_empty hand_off) then begin
-    Digraph.add_edge t.graph u v;
-    Hashtbl.replace t.labels (u, v) hand_off
-  end
+let hand_off (base : Base.t) u v = Hs.inter base.outputs.(u) base.inputs.(v)
 
 let build net =
-  let vertices = Array.of_list (Network.all_entries net) in
-  let n = Array.length vertices in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i (e : FE.t) -> Hashtbl.add index_of e.id i) vertices;
-  let t =
-    {
-      net;
-      vertices;
-      index_of;
-      inputs = Array.map (Network.input_space net) vertices;
-      outputs = Array.map (Network.output_space net) vertices;
-      graph = Digraph.create n;
-      labels = Hashtbl.create (4 * n);
-    }
-  in
-  Array.iteri
-    (fun i (r : FE.t) ->
-      List.iter
-        (fun (q : FE.t) -> add_edge t i (Hashtbl.find index_of q.id))
-        (candidates_from net r))
-    vertices;
-  t
+  let base = Base.build net in
+  labeled base (hand_off base)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental patching.
-
-   Correctness rests on the same observations Rule_graph.update leans
-   on: a vertex's spaces depend only on its own table's entries, and an
-   edge (plus its label) only on its endpoints' spaces and the fixed
-   topology. So spaces are recomputed only for entries of changed
-   tables, and edges only where an endpoint changed.
+(* Incremental patching. {!Base.patch} redoes the vertices, spaces and
+   edges; an edge between two unaffected vertices joins two spaces the
+   patch kept bit for bit, so its old label is still exact.
 
    The [affected] set drives the closure engine's delta worklist: a
    vertex is affected exactly when its own spaces (and hence the labels
-   of its incident edges) may differ from the old graph's — it sits in
-   a changed table or is a newly inserted entry. Everything about an
-   edge between two unaffected vertices is unchanged, so a flow whose
-   whole provenance chain avoids affected vertices is still a valid
-   derivation; {!Closure.update} exploits exactly that. *)
+   of its incident edges) may differ from the old graph's. Everything
+   about an edge between two unaffected vertices is unchanged, so a
+   flow whose whole provenance chain avoids affected vertices is still
+   a valid derivation; {!Closure.update} exploits exactly that. *)
 
-type patch = {
-  plumbing : t;
-  affected : bool array;
-  remap : int array;
-  any_affected : bool;
-}
-
-(* Does executing [p] hand the packet to rule [q]'s flow table? *)
-let leads_to net (p : FE.t) (q : FE.t) =
-  match p.action with
-  | FE.Drop -> false
-  | FE.Output _ -> q.table = 0 && Network.next_switch net p = Some q.switch
-  | FE.Goto_table tb -> p.switch = q.switch && tb = q.table
+type patch = { plumbing : t; affected : bool array; remap : int array }
 
 let patch old ~changed_tables =
-  let net = old.net in
-  let vertices = Array.of_list (Network.all_entries net) in
-  let n = Array.length vertices in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i (e : FE.t) -> Hashtbl.add index_of e.id i) vertices;
-  let in_changed_table (e : FE.t) =
-    List.exists (fun (sw, tb) -> sw = e.switch && tb = e.table) changed_tables
+  let { Base.base; affected; remap } = Base.patch old.base ~changed_tables in
+  let back = Array.make (Array.length base.vertices) (-1) in
+  Array.iteri (fun ov nv -> if nv >= 0 then back.(nv) <- ov) remap;
+  let label u v =
+    if affected.(u) || affected.(v) then hand_off base u v
+    else Hashtbl.find old.labels (back.(u), back.(v))
   in
-  (* Spaces are recomputed for entries of changed tables (a single
-     rule's removal re-shapes its table-mates' inputs through priority
-     shadowing) and for entries never seen before — inserted entries
-     count even if the caller's changed_tables is incomplete for them.
-     An entry whose recomputed spaces come out set-equal to the old
-     ones is NOT affected: every incident edge label is an intersection
-     of unchanged spaces, so nothing about it differs from the old
-     graph. For a one-rule edit this shrinks the affected set from the
-     whole table to the handful of entries the rule actually
-     shadowed — what keeps Closure.update's wavefront proportional to
-     the edit. *)
-  let marked = Array.make n false in
-  let inputs = Array.make n (Hs.empty (Network.header_len net)) in
-  let outputs = Array.make n (Hs.empty (Network.header_len net)) in
-  Array.iteri
-    (fun i (e : FE.t) ->
-      match Hashtbl.find_opt old.index_of e.id with
-      | Some ov when not (in_changed_table e) ->
-          inputs.(i) <- old.inputs.(ov);
-          outputs.(i) <- old.outputs.(ov)
-      | Some ov ->
-          let inp = Network.input_space net e in
-          let out = Network.output_space net e in
-          if Hs.equal_sets inp old.inputs.(ov) && Hs.equal_sets out old.outputs.(ov)
-          then begin
-            inputs.(i) <- old.inputs.(ov);
-            outputs.(i) <- old.outputs.(ov)
-          end
-          else begin
-            inputs.(i) <- inp;
-            outputs.(i) <- out;
-            marked.(i) <- true
-          end
-      | None ->
-          inputs.(i) <- Network.input_space net e;
-          outputs.(i) <- Network.output_space net e;
-          marked.(i) <- true)
-    vertices;
-  let t =
-    {
-      net;
-      vertices;
-      index_of;
-      inputs;
-      outputs;
-      graph = Digraph.create n;
-      labels = Hashtbl.create (4 * n);
-    }
-  in
-  (* Copy edges (and labels) between surviving unaffected endpoints;
-     recompute around affected vertices. Dispatch between two surviving
-     entries never changes (actions are immutable, the topology is
-     fixed, and an entry stays in its table), so a copied edge is still
-     an edge and no new edge can appear between unaffected pairs. *)
-  Digraph.iter_edges
-    (fun ou ov ->
-      let eu = old.vertices.(ou) and ev = old.vertices.(ov) in
-      match (Hashtbl.find_opt index_of eu.id, Hashtbl.find_opt index_of ev.id) with
-      | Some i, Some j when (not marked.(i)) && not marked.(j) ->
-          Digraph.add_edge t.graph i j;
-          Hashtbl.replace t.labels (i, j) (Hashtbl.find old.labels (ou, ov))
-      | _ -> ())
-    old.graph;
-  Array.iteri
-    (fun i (e : FE.t) ->
-      if marked.(i) then begin
-        (* Outgoing edges of the changed vertex. *)
-        List.iter
-          (fun (q : FE.t) -> add_edge t i (Hashtbl.find index_of q.id))
-          (candidates_from net e);
-        (* Incoming edges: rules on neighbouring switches, plus earlier
-           tables of the same switch (goto sources). *)
-        let topo = Network.topology net in
-        let entries_at ~switch ~table =
-          Flow_table.entries (Network.table net ~switch ~table)
-        in
-        let feeders =
-          List.concat_map
-            (fun sw ->
-              List.concat_map
-                (fun tb -> entries_at ~switch:sw ~table:tb)
-                (List.init (Network.n_tables net) Fun.id))
-            (Topology.neighbors topo e.switch)
-          @ List.concat_map
-              (fun tb -> entries_at ~switch:e.switch ~table:tb)
-              (List.init e.table Fun.id)
-        in
-        List.iter
-          (fun (p : FE.t) ->
-            let j = Hashtbl.find index_of p.id in
-            if j <> i && leads_to net p e then add_edge t j i)
-          feeders
-      end)
-    vertices;
-  let remap =
-    Array.map
-      (fun (e : FE.t) ->
-        match Hashtbl.find_opt index_of e.id with Some i -> i | None -> -1)
-      old.vertices
-  in
-  let any_affected = Array.exists Fun.id marked in
-  { plumbing = t; affected = marked; remap; any_affected }
+  { plumbing = labeled base label; affected; remap }
 
 (* ------------------------------------------------------------------ *)
 (* Local analyses shared with the lint passes. *)
 
-let find_cycle t = Digraph.find_cycle t.graph
+let find_cycle t = Digraph.find_cycle t.base.graph
 
 let backward_space ?target t path =
   let init =
-    match target with Some hs -> hs | None -> Hs.full (Network.header_len t.net)
+    match target with
+    | Some hs -> hs
+    | None -> Hs.full (Network.header_len t.base.network)
   in
   List.fold_right
     (fun v after ->
-      let r = t.vertices.(v) in
-      Hs.inter t.inputs.(v) (Hs.inverse_set_field ~set:r.FE.set_field after))
+      let r = t.base.vertices.(v) in
+      Hs.inter t.base.inputs.(v) (Hs.inverse_set_field ~set:r.FE.set_field after))
     path init
 
 let cycle_witness t cycle =
   match cycle with
-  | [] -> Hs.empty (Network.header_len t.net)
+  | [] -> Hs.empty (Network.header_len t.base.network)
   | head :: _ ->
       let round_trip = backward_space t (cycle @ [ head ]) in
       if not (Hs.is_empty round_trip) then round_trip
       else (
         match cycle with
-        | a :: b :: _ -> Hs.inter t.outputs.(a) t.inputs.(b)
-        | [ a ] -> Hs.inter t.outputs.(a) t.inputs.(a)
+        | a :: b :: _ -> hand_off t.base a b
+        | [ a ] -> hand_off t.base a a
         | [] -> assert false)
 
+let leak t v =
+  let r = t.base.vertices.(v) in
+  match r.FE.action with
+  | FE.Output _ -> (
+      let net = t.base.network in
+      match Network.next_switch net r with
+      | None -> None
+      | Some sw ->
+          (* The exact fold (table lookup order, diff by raw match) the
+             historical L002 pass used: witnesses must stay bit-identical
+             across the delegation. *)
+          let leaked =
+            List.fold_left
+              (fun space (q : FE.t) -> Hs.diff_cube space q.FE.match_)
+              t.base.outputs.(v)
+              (Flow_table.entries (Network.table net ~switch:sw ~table:0))
+          in
+          if Hs.is_empty leaked then None else Some (sw, leaked))
+  | FE.Drop | FE.Goto_table _ -> None
+
 let leaks t =
-  let acc = ref [] in
-  Array.iteri
-    (fun i (r : FE.t) ->
-      match r.action with
-      | FE.Output _ -> (
-          match Network.next_switch t.net r with
-          | None -> ()
-          | Some sw ->
-              (* The exact fold (table lookup order, diff by raw match)
-                 the historical L002 pass used: witnesses must stay
-                 bit-identical across the delegation. *)
-              let leaked =
-                List.fold_left
-                  (fun space (q : FE.t) -> Hs.diff_cube space q.match_)
-                  t.outputs.(i)
-                  (Flow_table.entries (Network.table t.net ~switch:sw ~table:0))
-              in
-              if not (Hs.is_empty leaked) then acc := (r, sw, leaked) :: !acc)
-      | FE.Drop | FE.Goto_table _ -> ())
-    t.vertices;
-  List.rev !acc
+  List.filter_map
+    (fun v -> Option.map (fun (sw, leaked) -> (vertex_entry t v, sw, leaked)) (leak t v))
+    (List.init (n_vertices t) Fun.id)
 
 let stats t =
   [
     ("vertices", n_vertices t);
-    ("edges", Digraph.n_edges t.graph);
+    ("edges", Digraph.n_edges t.base.graph);
     ( "label_cubes",
       (* sdncheck: allow D001 — commutative int sum over all labels *)
       Hashtbl.fold (fun _ hs acc -> acc + Hs.cube_count hs) t.labels 0 );

@@ -7,18 +7,22 @@
     switch's table 0 for an output, a later table of the same switch
     for a goto) and the hand-off space [u.out ∩ v.in] is non-empty —
     that space is the edge's {e label}. This is the paper's §V-A base
-    rule graph enriched with NetPlumber-style edge labels; the
+    rule graph — the planner's own {!Rulegraph.Base}, vertices, spaces
+    and edges — enriched with NetPlumber-style edge labels; the
     {!Closure} worklist engine propagates header spaces over it and the
-    lint passes L001/L002 read their facts straight off it (one
-    reachability substrate, many clients — docs/VERIFY.md).
+    lint passes read their facts straight off it (one reachability
+    substrate, many clients — docs/VERIFY.md).
 
     The graph is immutable; {!patch} builds the graph for a mutated
-    network incrementally, reusing every vertex space and edge whose
-    flow tables did not change. *)
+    network incrementally through {!Rulegraph.Base.patch}, reusing every
+    vertex space and edge label whose endpoints are unaffected. *)
 
 type t
 
 val build : Openflow.Network.t -> t
+
+val base : t -> Rulegraph.Base.t
+(** The underlying Step-1 graph. *)
 
 val network : t -> Openflow.Network.t
 
@@ -48,22 +52,23 @@ val label : t -> int -> int -> Hspace.Hs.t
 type patch = {
   plumbing : t;  (** the graph of the mutated network *)
   affected : bool array;
-      (** per new-vertex: true when the vertex sits in a changed table
-          or is a newly inserted entry — exactly the vertices whose
-          spaces (and incident edge labels) may differ from the old
-          graph's. Edges between unaffected vertices are unchanged. *)
+      (** per new vertex: a newly inserted entry, or one of a changed
+          table whose spaces differ in representation from the old
+          ones — exactly the vertices whose spaces (and incident edge
+          labels) may differ from the old graph's. Edges between
+          unaffected vertices are unchanged. *)
   remap : int array;
       (** old vertex index -> new vertex index, [-1] for deleted
           entries. *)
-  any_affected : bool;
 }
 
 val patch : t -> changed_tables:(int * int) list -> patch
 (** Rebuild against the (already mutated) network referenced by the
     graph. Per-vertex spaces are recomputed only for entries of changed
-    [(switch, table)] pairs; edges only where an endpoint changed. The
-    result is observably identical to a fresh {!build} of the mutated
-    network. *)
+    [(switch, table)] pairs; edges and labels only where an endpoint is
+    affected. The result equals a fresh {!build} of the mutated network:
+    the same space and label representations, the same edges in the
+    same [succ] order. *)
 
 (** {2 Local analyses} — facts read directly off the graph, shared with
     the lint passes. *)
@@ -86,12 +91,16 @@ val backward_space : ?target:Hspace.Hs.t -> t -> int list -> Hspace.Hs.t
     additionally constrains where the packet must land after the last
     vertex's rewrite (default: anywhere). *)
 
+val leak : t -> int -> (int * Hspace.Hs.t) option
+(** A blackhole at one vertex: [Some (next switch, leaked space)] when
+    the vertex forwards part of its output space to a switch whose
+    first table matches none of it. The leaked space's cube list is the
+    table-order fold [Hs.diff_cube out match] over the next hop's
+    table-0 entries. *)
+
 val leaks : t -> (Openflow.Flow_entry.t * int * Hspace.Hs.t) list
-(** L002's blackholes: forwarding entries whose output space is not
-    fully matched by the next hop's first table, with the next switch
-    and the leaked space, in ascending entry order. The leaked space's
-    cube list is computed by the exact table-order fold the historical
-    lint pass used, so witnesses are bit-identical. *)
+(** L002's blackholes: {!leak} over every vertex, in ascending entry
+    order. *)
 
 val stats : t -> (string * int) list
 (** Vertices / edges / label cube count. *)

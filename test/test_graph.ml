@@ -6,7 +6,6 @@ module SP = Sdngraph.Shortest_path
 module Yen = Sdngraph.Yen
 module Heap = Sdngraph.Heap
 module UF = Sdngraph.Union_find
-module RM = Sdngraph.Rand_matching
 module Prng = Sdn_util.Prng
 
 let check_bool = Alcotest.(check bool)
@@ -202,74 +201,6 @@ let test_hk_vs_brute () =
     check_valid_matching nl nr adj m;
     check_int "maximum" (brute_max_matching nl nr adj) m.size
   done
-
-let test_greedy_maximal () =
-  let rng = Prng.create 13 in
-  for _ = 1 to 20 do
-    let nl = 1 + Prng.int rng 6 and nr = 1 + Prng.int rng 6 in
-    let adj =
-      Array.init nl (fun _ -> List.filter (fun _ -> Prng.bool rng) (List.init nr Fun.id))
-    in
-    let m = HK.greedy ~nl ~nr adj in
-    check_valid_matching nl nr adj m;
-    (* Maximal: no free-free edge remains. *)
-    for u = 0 to nl - 1 do
-      if m.match_l.(u) = -1 then
-        List.iter (fun v -> check_bool "maximal" true (m.match_r.(v) <> -1)) adj.(u)
-    done
-  done
-
-let test_rand_matching_maximal () =
-  let rng = Prng.create 5 in
-  for _ = 1 to 20 do
-    let nl = 1 + Prng.int rng 6 and nr = 1 + Prng.int rng 6 in
-    let adj =
-      Array.init nl (fun _ -> List.filter (fun _ -> Prng.bool rng) (List.init nr Fun.id))
-    in
-    let m = RM.run rng ~nl ~nr adj in
-    check_valid_matching nl nr adj m;
-    for u = 0 to nl - 1 do
-      if m.match_l.(u) = -1 then
-        List.iter (fun v -> check_bool "maximal" true (m.match_r.(v) <> -1)) adj.(u)
-    done
-  done
-
-let test_rand_matching_varies () =
-  (* On a graph with many maximum matchings, different seeds should
-     produce different matchings at least once. *)
-  let adj = Array.init 6 (fun _ -> List.init 6 Fun.id) in
-  let results =
-    List.init 10 (fun seed ->
-        let m = RM.run (Prng.create seed) ~nl:6 ~nr:6 adj in
-        Array.to_list m.match_l)
-  in
-  check_bool "varies" true (List.length (List.sort_uniq compare results) > 1)
-
-let test_rand_matching_filtered () =
-  (* Filter rejecting every edge yields the empty matching. *)
-  let adj = Array.init 4 (fun _ -> List.init 4 Fun.id) in
-  let m = RM.run_filtered (Prng.create 3) ~nl:4 ~nr:4 adj ~accept:(fun _ _ _ -> false) in
-  check_int "empty" 0 m.size
-
-let test_rand_matching_live_size () =
-  (* Regression: the matching handed to [accept] used to report size 0
-     for the whole run; it must track the edges added so far. *)
-  let adj = Array.init 5 (fun _ -> List.init 5 Fun.id) in
-  let observed = ref [] in
-  let m =
-    RM.run_filtered (Prng.create 9) ~nl:5 ~nr:5 adj ~accept:(fun cur _ _ ->
-        let live =
-          Array.fold_left (fun acc v -> if v <> -1 then acc + 1 else acc) 0 cur.HK.match_l
-        in
-        check_int "size matches match_l" live cur.HK.size;
-        observed := cur.HK.size :: !observed;
-        true)
-  in
-  check_valid_matching 5 5 adj m;
-  check_int "final size" 5 m.size;
-  (* Full bipartite graph, accept-all: exactly one call per match, so
-     accept saw the size climb 0,1,...,4. *)
-  check_bool "sizes climb" true (List.rev !observed = [ 0; 1; 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Shortest paths *)
@@ -504,11 +435,6 @@ let () =
         [
           Alcotest.test_case "hk simple" `Quick test_hk_simple;
           Alcotest.test_case "hk vs brute force" `Quick test_hk_vs_brute;
-          Alcotest.test_case "greedy maximal" `Quick test_greedy_maximal;
-          Alcotest.test_case "random maximal" `Quick test_rand_matching_maximal;
-          Alcotest.test_case "random varies" `Quick test_rand_matching_varies;
-          Alcotest.test_case "random filtered" `Quick test_rand_matching_filtered;
-          Alcotest.test_case "filtered live size" `Quick test_rand_matching_live_size;
         ] );
       ( "shortest paths",
         [
