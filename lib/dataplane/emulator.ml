@@ -21,12 +21,24 @@ type hop = { switch : int; entry : int; header_out : Header.t }
 
 type result = { outcome : outcome; trace : hop list; jitter_us : int }
 
-type trap_key = { t_switch : int; t_rule : int; t_header : string }
+type trap_key = { t_switch : int; t_rule : int; t_header : Header.t }
+
+(* A switch visit probes the trap table once per matched entry, so a
+   key holds the header cube itself and hashes its bits. *)
+module Traps = Hashtbl.Make (struct
+  type t = trap_key
+
+  let equal a b =
+    a.t_rule = b.t_rule && a.t_switch = b.t_switch && Header.equal a.t_header b.t_header
+
+  let hash k =
+    (((Hspace.Cube.hash (k.t_header :> Hspace.Cube.t) * 31) + k.t_rule) * 31) + k.t_switch
+end)
 
 type t = {
   net : Network.t;
   faults : (int, Fault.t) Hashtbl.t;
-  traps : (trap_key, int) Hashtbl.t; (* -> probe id *)
+  traps : int Traps.t; (* -> probe id *)
   trap_keys : (int, trap_key list) Hashtbl.t;
       (* probe id -> keys it installed since its last removal; a key
          another probe has since overwritten may linger here and is
@@ -46,7 +58,7 @@ let create net =
   {
     net;
     faults = Hashtbl.create 64;
-    traps = Hashtbl.create 64;
+    traps = Traps.create 64;
     trap_keys = Hashtbl.create 64;
     clk = Clock.create ();
     counters = Hashtbl.create 256;
@@ -84,13 +96,12 @@ let faulty_switches t =
   |> List.map (fun e -> (Network.entry t.net e).FE.switch)
   |> List.sort_uniq compare
 
-let trap_key ~switch ~rule ~header =
-  { t_switch = switch; t_rule = rule; t_header = Header.to_string header }
+let trap_key ~switch ~rule ~header = { t_switch = switch; t_rule = rule; t_header = header }
 
 let install_trap t ~probe ~switch ~rule ~header =
   let key = trap_key ~switch ~rule ~header in
-  if Hashtbl.find_opt t.traps key <> Some probe then begin
-    Hashtbl.replace t.traps key probe;
+  if Traps.find_opt t.traps key <> Some probe then begin
+    Traps.replace t.traps key probe;
     let keys = Option.value ~default:[] (Hashtbl.find_opt t.trap_keys probe) in
     Hashtbl.replace t.trap_keys probe (key :: keys)
   end
@@ -102,11 +113,11 @@ let remove_probe_traps t ~probe =
       Hashtbl.remove t.trap_keys probe;
       List.iter
         (fun key ->
-          if Hashtbl.find_opt t.traps key = Some probe then Hashtbl.remove t.traps key)
+          if Traps.find_opt t.traps key = Some probe then Traps.remove t.traps key)
         keys
 
 let clear_traps t =
-  Hashtbl.reset t.traps;
+  Traps.reset t.traps;
   Hashtbl.reset t.trap_keys
 
 let flow_count t ~entry =
@@ -198,7 +209,7 @@ let visit t ~now_us ~record sw0 header0 budget0 =
     | `Action (act, redirect_intact) -> (
         let trap =
           if redirect_intact then
-            Hashtbl.find_opt t.traps (trap_key ~switch:sw ~rule:e.id ~header:header')
+            Traps.find_opt t.traps (trap_key ~switch:sw ~rule:e.id ~header:header')
           else None
         in
         match trap with

@@ -292,6 +292,59 @@ let subset a b =
        loop 0
      end
 
+(* A family of cubes packed for first-match scans: entry [i]'s chunk [k]
+   is the pair (mask, value) at [words.(2 * (i * nch + k))], so a
+   one-chunk family (headers up to 62 bits) is two adjacent words per
+   entry and the scan follows no pointer. *)
+type packed = { p_len : int; nch : int; n : int; words : int array }
+
+let pack cubes =
+  let n = Array.length cubes in
+  if n = 0 then { p_len = 0; nch = 0; n; words = [||] }
+  else begin
+    let len = cubes.(0).len in
+    let nch = nchunks len in
+    let words = Array.make (2 * n * nch) 0 in
+    Array.iteri
+      (fun i c ->
+        if c.len <> len then invalid_arg "Cube.pack: length mismatch";
+        for k = 0 to nch - 1 do
+          words.(2 * ((i * nch) + k)) <- c.mask.(k);
+          words.((2 * ((i * nch) + k)) + 1) <- c.value.(k)
+        done)
+      cubes;
+    { p_len = len; nch; n; words }
+  end
+
+(* [subset h c] chunk by chunk, read from the packed words: every bit
+   [c] fixes is fixed in [h] with the same value. The scans are
+   toplevel so a query allocates no closure. *)
+let rec scan1 words n nh hv i =
+  if i >= n then -1
+  else
+    let m = words.(2 * i) in
+    if m land (nh lor (hv lxor words.((2 * i) + 1))) = 0 then i
+    else scan1 words n nh hv (i + 1)
+
+let rec chunks_superset words base h k =
+  k < 0
+  || (let m = words.(base + (2 * k)) in
+      m land (lnot h.mask.(k) lor (h.value.(k) lxor words.(base + (2 * k) + 1))) = 0
+      && chunks_superset words base h (k - 1))
+
+let rec scan_n p h i =
+  if i >= p.n then -1
+  else if chunks_superset p.words (2 * i * p.nch) h (p.nch - 1) then i
+  else scan_n p h (i + 1)
+
+let first_superset p h =
+  if p.n = 0 then -1
+  else begin
+    if h.len <> p.p_len then invalid_arg "Cube.first_superset: length mismatch";
+    if p.nch = 1 then scan1 p.words p.n (lnot h.mask.(0)) h.value.(0) 0
+    else scan_n p h 0
+  end
+
 (* a - b: standard HSA cube difference. For each bit where b is fixed
    and a is a wildcard, emit the running prefix with that bit flipped to
    the complement of b's value; bits processed left to right (ascending

@@ -88,6 +88,20 @@ val inter : t -> t -> t option
 val subset : t -> t -> bool
 (** [subset a b] iff every header in [a] is in [b]. *)
 
+type packed
+(** A cube family laid out for first-match scans: every cube's chunks in
+    one flat [int] array, in the family's order. *)
+
+val pack : t array -> packed
+(** Pack a family. Raises [Invalid_argument] if lengths differ. *)
+
+val first_superset : packed -> t -> int
+(** [first_superset p h] is the index of the first cube [c] of the
+    family with [subset h c], or [-1]. Allocation-free; a one-chunk
+    family (cubes up to 62 bits) reads two words per cube. Raises
+    [Invalid_argument] if [h]'s length differs from a non-empty
+    family's. *)
+
 val disjoint : t -> t -> bool
 (** [disjoint a b] iff [inter a b = None]. Allocation-free. *)
 

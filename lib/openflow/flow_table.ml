@@ -1,32 +1,59 @@
+module Cube = Hspace.Cube
 module Hs = Hspace.Hs
 
-type t = Flow_entry.t list (* sorted by priority desc, id asc *)
+type t = {
+  arr : Flow_entry.t array; (* lookup order: priority desc, id asc *)
+  packed : Cube.packed; (* the match fields of [arr], in the same order *)
+}
 
 let order (a : Flow_entry.t) (b : Flow_entry.t) =
   match compare b.priority a.priority with 0 -> compare a.id b.id | c -> c
 
-let empty = []
+let of_sorted arr =
+  { arr; packed = Cube.pack (Array.map (fun (e : Flow_entry.t) -> e.match_) arr) }
 
-let of_entries es = List.sort order es
+let empty = of_sorted [||]
 
-let entries t = t
+let of_entries es =
+  let arr = Array.of_list es in
+  Array.stable_sort order arr;
+  of_sorted arr
 
-let size = List.length
+let entries t = Array.to_list t.arr
 
-let add t e = List.merge order [ e ] t
+let fold f acc t = Array.fold_left f acc t.arr
 
-let remove t id = List.filter (fun (e : Flow_entry.t) -> e.id <> id) t
+let size t = Array.length t.arr
 
-let lookup t header = List.find_opt (fun e -> Flow_entry.matches e header) t
+(* [e] goes before the first entry it does not follow. *)
+let add t e =
+  let n = Array.length t.arr in
+  let rec slot i = if i < n && order e t.arr.(i) > 0 then slot (i + 1) else i in
+  let i = slot 0 in
+  of_sorted
+    (Array.init (n + 1) (fun j ->
+         if j < i then t.arr.(j) else if j = i then e else t.arr.(j - 1)))
+
+let remove t id =
+  of_sorted (Array.of_list (List.filter (fun (e : Flow_entry.t) -> e.id <> id) (entries t)))
+
+let lookup t (header : Hspace.Header.t) =
+  match Cube.first_superset t.packed (header :> Cube.t) with
+  | -1 -> None
+  | i -> Some t.arr.(i)
 
 let precedes (a : Flow_entry.t) (b : Flow_entry.t) = order a b < 0
 
+(* The entries preceding [r] are a prefix of the lookup order. *)
 let higher_priority_overlaps t (r : Flow_entry.t) =
-  List.filter
-    (fun (q : Flow_entry.t) ->
-      q.id <> r.id && precedes q r
-      && not (Hspace.Cube.disjoint q.match_ r.match_))
-    t
+  let n = Array.length t.arr in
+  let rec prefix i = if i < n && precedes t.arr.(i) r then prefix (i + 1) else i in
+  let acc = ref [] in
+  for i = prefix 0 - 1 downto 0 do
+    let q = t.arr.(i) in
+    if q.id <> r.id && not (Cube.disjoint q.match_ r.match_) then acc := q :: !acc
+  done;
+  !acc
 
 let input_space t (r : Flow_entry.t) =
   let len = Flow_entry.header_length r in

@@ -3,7 +3,11 @@
     Lookup returns the highest-priority matching entry; ties are broken
     by lower entry id (OpenFlow leaves equal-priority overlap undefined —
     fixing a deterministic order keeps the emulator and the analytic
-    rule graph consistent). *)
+    rule graph consistent).
+
+    A table is an array of its entries in lookup order plus their match
+    fields packed by {!Hspace.Cube.pack}, so {!lookup} is a first-match
+    scan over flat words. Every edit rebuilds both, in O(size). *)
 
 type t
 
@@ -13,7 +17,10 @@ val of_entries : Flow_entry.t list -> t
 (** Entries are sorted by (priority desc, id asc). *)
 
 val entries : t -> Flow_entry.t list
-(** In lookup order. *)
+(** In lookup order; a fresh list per call. *)
+
+val fold : ('a -> Flow_entry.t -> 'a) -> 'a -> t -> 'a
+(** Left fold over the entries in lookup order. *)
 
 val size : t -> int
 

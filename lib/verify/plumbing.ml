@@ -111,10 +111,10 @@ let leak t v =
              historical L002 pass used: witnesses must stay bit-identical
              across the delegation. *)
           let leaked =
-            List.fold_left
+            Flow_table.fold
               (fun space (q : FE.t) -> Hs.diff_cube space q.FE.match_)
               t.base.outputs.(v)
-              (Flow_table.entries (Network.table net ~switch:sw ~table:0))
+              (Network.table net ~switch:sw ~table:0)
           in
           if Hs.is_empty leaked then None else Some (sw, leaked))
   | FE.Drop | FE.Goto_table _ -> None

@@ -170,10 +170,10 @@ let certify_structural net kind rules =
             | _ -> err "entry %d does not forward to sw%d" rule next_switch
           in
           let leaked =
-            List.fold_left
+            Flow_table.fold
               (fun space (q : FE.t) -> Hs.diff_cube space q.FE.match_)
               (Network.output_space net r)
-              (Flow_table.entries (Network.table net ~switch:next_switch ~table:0))
+              (Network.table net ~switch:next_switch ~table:0)
           in
           if Hs.is_empty leaked then err "entry %d leaks nothing — recheck failed" rule
           else Ok Structural)

@@ -337,9 +337,59 @@ let prop_disjoint_cubes =
          < 1e-6
       && Hs.equal_sets (Hs.of_cubes len pieces) t)
 
+(* The packed first-match scan against a plain subset scan, at one, two
+   and three chunks (8 and 62 bits fill one; 63 spills into a second;
+   130 needs three), with non-concrete queries as well as concrete
+   ones. Queries are mostly narrowed from a family member, so hits,
+   misses and earlier overlapping members all occur. *)
+let prop_first_superset =
+  QCheck.Test.make ~name:"first_superset = first subset in a scan" ~count:400
+    QCheck.(pair (oneofl [ 8; 62; 63; 130 ]) (int_bound 1_000_000))
+    (fun (len, seed) ->
+      let rng = Prng.create seed in
+      let wildcard_prob = Prng.choose rng [| 0.3; 0.8; 0.97 |] in
+      let family =
+        Array.init (Prng.int rng 12) (fun _ -> Cube.random rng ~wildcard_prob len)
+      in
+      let packed = Cube.pack family in
+      let narrow c =
+        let c = ref c in
+        for k = 0 to len - 1 do
+          if Cube.get !c k = Cube.Any && Prng.bool rng then
+            c := Cube.set !c k (if Prng.bool rng then Cube.One else Cube.Zero)
+        done;
+        !c
+      in
+      List.for_all
+        (fun _ ->
+          let q =
+            match Prng.int rng 3 with
+            | 0 when Array.length family > 0 -> narrow (Prng.choose rng family)
+            | 1 when Array.length family > 0 ->
+                Cube.sample rng (Prng.choose rng family)
+            | _ -> Cube.random rng ~wildcard_prob:0.1 len
+          in
+          let rec scan i =
+            if i >= Array.length family then -1
+            else if Cube.subset q family.(i) then i
+            else scan (i + 1)
+          in
+          Int.equal (Cube.first_superset packed q) (scan 0))
+        (List.init 16 Fun.id))
+
+let test_pack_lengths () =
+  let a = Cube.of_string "01xx" in
+  check_int "empty family" (-1) (Cube.first_superset (Cube.pack [||]) a);
+  Alcotest.check_raises "mixed lengths" (Invalid_argument "Cube.pack: length mismatch")
+    (fun () -> ignore (Cube.pack [| a; Cube.of_string "01x" |]));
+  Alcotest.check_raises "query length"
+    (Invalid_argument "Cube.first_superset: length mismatch") (fun () ->
+      ignore (Cube.first_superset (Cube.pack [| a |]) (Cube.of_string "010")))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_first_superset;
       prop_inter_commutative;
       prop_inter_membership;
       prop_diff_membership;
@@ -374,6 +424,7 @@ let () =
           Alcotest.test_case "first member" `Quick test_first_member;
           Alcotest.test_case "interning" `Quick test_interning;
           Alcotest.test_case "hash beyond word budget" `Quick test_hash_long_cubes;
+          Alcotest.test_case "pack lengths" `Quick test_pack_lengths;
         ] );
       ( "hs",
         [

@@ -313,6 +313,72 @@ let test_serial_comments_and_blanks () =
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok net -> check_int "one entry" 1 (Network.n_entries net)
 
+(* The packed lookup against the list scan it replaced. Tables are built
+   by [of_entries] and then edited by random [add]/[remove] calls
+   (absent ids included), with priority ties and empty tables, at
+   header lengths of one, two and three 62-bit chunks. The reference
+   model is the former list implementation: [List.sort], [List.merge]
+   and [List.filter] in lookup order. *)
+let prop_packed_lookup =
+  QCheck.Test.make ~name:"lookup = list scan over entries" ~count:300
+    QCheck.(pair (oneofl [ 8; 62; 63; 130 ]) (int_bound 1_000_000))
+    (fun (len, seed) ->
+      let rng = Sdn_util.Prng.create seed in
+      let wildcard_prob = Sdn_util.Prng.choose rng [| 0.5; 0.9; 0.98 |] in
+      let next_id = ref 0 in
+      let fresh () =
+        let id = !next_id in
+        incr next_id;
+        FE.make ~id ~switch:0 ~table:0
+          ~priority:(1 + Sdn_util.Prng.int rng 3)
+          ~match_:(Cube.random rng ~wildcard_prob len)
+          FE.Drop
+      in
+      let order (a : FE.t) (b : FE.t) =
+        match compare b.priority a.priority with 0 -> compare a.id b.id | c -> c
+      in
+      let initial = List.init (Sdn_util.Prng.int rng 10) (fun _ -> fresh ()) in
+      let initial = Sdn_util.Prng.shuffle_list rng initial in
+      let t = ref (FT.of_entries initial) and model = ref (List.sort order initial) in
+      for _ = 1 to Sdn_util.Prng.int rng 12 do
+        if Sdn_util.Prng.bool rng then begin
+          let e = fresh () in
+          t := FT.add !t e;
+          model := List.merge order [ e ] !model
+        end
+        else begin
+          let id = Sdn_util.Prng.int rng (!next_id + 2) in
+          t := FT.remove !t id;
+          model := List.filter (fun (e : FE.t) -> e.id <> id) !model
+        end
+      done;
+      let ids l = List.map (fun (e : FE.t) -> e.id) l in
+      let query () =
+        match !model with
+        | _ :: _ when Sdn_util.Prng.int rng 4 > 0 ->
+            Header.sample rng (Sdn_util.Prng.choose_list rng !model).match_
+        | _ -> Header.sample rng (Cube.wildcard len)
+      in
+      let same_lookup (h : Header.t) =
+        let scan = List.find_opt (fun (e : FE.t) -> Cube.subset (h :> Cube.t) e.match_) in
+        match (FT.lookup !t h, scan (FT.entries !t)) with
+        | None, None -> true
+        | Some a, Some b -> a == b
+        | _ -> false
+      in
+      let reference_overlaps (r : FE.t) =
+        List.filter
+          (fun (q : FE.t) ->
+            q.id <> r.id && order q r < 0 && not (Cube.disjoint q.match_ r.match_))
+          !model
+      in
+      ids (FT.entries !t) = ids !model
+      && FT.size !t = List.length !model
+      && List.for_all (fun _ -> same_lookup (query ())) (List.init 24 Fun.id)
+      && List.for_all
+           (fun r -> ids (FT.higher_priority_overlaps !t r) = ids (reference_overlaps r))
+           !model)
+
 let () =
   Alcotest.run "openflow"
     [
@@ -332,6 +398,7 @@ let () =
           Alcotest.test_case "input space" `Quick test_input_space;
           Alcotest.test_case "output space" `Quick test_output_space;
           QCheck_alcotest.to_alcotest prop_shadow_iff_empty_input;
+          QCheck_alcotest.to_alcotest prop_packed_lookup;
         ] );
       ( "topology",
         [

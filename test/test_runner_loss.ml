@@ -98,6 +98,42 @@ let test_golden_no_fault () =
   let r = Runner.execute ~config ~emulator:emu (Pipeline.plan (Pipeline.create net)) in
   check_str "digest" "1bae728705dc15392db70260ae188acb" (digest r)
 
+(* The resilient, impaired path the goldens above never reach: 1% drop
+   faults, 1% link loss and 200 us jitter under [Config.resilient]. The
+   digest covers what the default-config goldens cannot pin:
+   retransmissions, per-round stats and the emulator's per-entry flow
+   counters, which count every hop of every attempt. *)
+let test_golden_resilient_impaired () =
+  let net = make_net ~switches:16 ~seed:4 in
+  let emu = Emu.create net in
+  let rng = Prng.create 11 in
+  let truth = W.inject rng ~kind:W.Drop_only ~fraction:0.01 emu in
+  Emu.set_impairment emu
+    (Impairment.create
+       (Impairment.spec ~seed:(Prng.int rng 1_000_000) ~loss_rate:0.01
+          ~jitter_max_us:200 ()));
+  let config = Config.with_max_rounds 60 Config.resilient in
+  let r =
+    Runner.execute
+      ~stop:(Runner.stop_when_flagged truth)
+      ~config ~emulator:emu (Pipeline.plan (Pipeline.create net))
+  in
+  let b = Buffer.create 8192 in
+  Buffer.add_string b (canonical r);
+  Buffer.add_string b (Printf.sprintf "|r%d" r.Report.retransmissions);
+  List.iter
+    (fun (s : Report.round_stat) ->
+      Buffer.add_string b
+        (Printf.sprintf "|R%d,%d,%d,%d,%d" s.round s.sent s.retries s.lost_attempts
+           s.failed_probes))
+    r.Report.round_stats;
+  List.iter (fun (e, n) -> Buffer.add_string b (Printf.sprintf "|c%d,%d" e n))
+    (Emu.flow_counts emu);
+  check_bool "faults injected" true (truth <> []);
+  check_bool "loss caused retransmissions" true (r.Report.retransmissions > 0);
+  check_str "digest" "a04cc9d27eeef8038142b950c3b64b51"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: an attached zero-impairment is observationally identical to
    no impairment, across random small scenarios and both detection
@@ -441,6 +477,8 @@ let () =
           Alcotest.test_case "static basic s24" `Quick test_golden_static_basic_24;
           Alcotest.test_case "static basic s50" `Slow test_golden_static_basic_50;
           Alcotest.test_case "no fault s16" `Quick test_golden_no_fault;
+          Alcotest.test_case "resilient impaired s16" `Quick
+            test_golden_resilient_impaired;
         ] );
       ("identity", [ test_zero_impairment_identity ]);
       ( "arithmetic",
