@@ -131,13 +131,9 @@ let headers_assign_par w pool () =
   ignore (Mlpc.Headers.assign ~pool Mlpc.Headers.Sat_unique w.cover)
 
 (* Ten probing rounds of the full static plan on a clean emulator —
-   the detection loop's steady-state cost. With [domains > 1] and
-   retransmissions off, the round's sends run on the pool. *)
-let runner_rounds w ~domains =
-  let config =
-    Sdnprobe.Config.with_domains domains
-      (Sdnprobe.Config.with_max_rounds 10 Sdnprobe.Config.default)
-  in
+   the detection loop's steady-state cost. *)
+let runner_rounds w =
+  let config = Sdnprobe.Config.with_max_rounds 10 Sdnprobe.Config.default in
   let plan = Pipeline.plan (Pipeline.create w.net) in
   fun () ->
     let emu = Dataplane.Emulator.create w.net in
@@ -319,7 +315,7 @@ let entries ~scales =
           (Printf.sprintf "mlpc.randomized/%d" scale, time_ns ~runs (randomized w));
           (Printf.sprintf "headers.assign/%d" scale, time_ns ~runs (headers_assign w));
           (Printf.sprintf "yen.k8/%d" scale, time_ns ~runs (yen_k8 w));
-          (Printf.sprintf "runner.round10/%d" scale, time_ns ~runs (runner_rounds w ~domains:1));
+          (Printf.sprintf "runner.round10/%d" scale, time_ns ~runs (runner_rounds w));
           (Printf.sprintf "plan.full/%d" scale, time_ns ~runs (plan_full w));
           ( Printf.sprintf "plan.edit/%d" scale,
             time_ns ~runs (plan_edit w) /. float_of_int (2 * plan_edit_pairs) );
@@ -336,7 +332,6 @@ let entries ~scales =
         let runs = runs_of scale in
         [
           (Printf.sprintf "headers.assign/%d/par4" scale, time_ns ~runs (headers_assign_par w pool));
-          (Printf.sprintf "runner.round10/%d/par4" scale, time_ns ~runs (runner_rounds w ~domains:4));
         ])
       ws
   in

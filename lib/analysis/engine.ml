@@ -15,11 +15,10 @@ let skip_dir name =
   name = "_build" || name = "analysis_fixtures"
   || (String.length name > 0 && name.[0] = '.')
 
-(* The files that hand closures to a pool — per-region sharded builds,
-   per-component header assignment, the runner's parallel round: every
-   module their closures can reach is in scope for D005 (see
-   Modgraph). *)
-let pooled_seeds = [ "lib/shard/splan.ml"; "lib/mlpc/headers.ml"; "lib/core/runner.ml" ]
+(* The files that hand closures to a pool — per-region sharded builds
+   and per-component header assignment: every module their closures can
+   reach is in scope for D005 (see Modgraph). *)
+let pooled_seeds = [ "lib/shard/splan.ml"; "lib/mlpc/headers.ml" ]
 
 (* ------------------------------------------------------------------ *)
 (* Root autodetect: walk up from [start] until the tree looks like

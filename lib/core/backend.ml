@@ -10,7 +10,6 @@ type t = {
   remove_traps : Probe.t list -> unit;
   attempt : config:Config.t -> ?now_us:int -> Probe.t -> bool;
   send_batch : (config:Config.t -> Probe.t list -> bool array) option;
-  order_free : config:Config.t -> bool;
   close : unit -> unit;
 }
 
@@ -46,12 +45,5 @@ let of_emulator emu =
           Emulator.remove_probe_traps emu ~probe:p.Probe.id);
     attempt = (fun ~config ?now_us p -> emulator_attempt emu ~config ?now_us p);
     send_batch = None;
-    order_free =
-      (fun ~config ->
-        config.Config.max_retries = 0
-        &&
-        match Emulator.impairment emu with
-        | None -> true
-        | Some imp -> Dataplane.Impairment.order_independent imp);
     close = (fun () -> ());
   }

@@ -32,8 +32,9 @@ type t = {
       (** One send of one probe; true iff the probe's own trap echoed
           it back within the per-probe timeout
           ([Config.probe_timeout_us]). [now_us] overrides the send
-          instant for backends with a virtual clock (parallel rounds
-          inject each probe at its own timestamp). *)
+          instant for backends with a virtual clock; the runner never
+          passes it (a round's probes leave in plan order at the
+          clock's own instants), wrappers forward it unchanged. *)
   send_batch : (config:Config.t -> Probe.t list -> bool array) option;
       (** Batched one-attempt-per-probe send: fire the whole list, then
         collect echoes until each probe's deadline; result[i] is
@@ -41,10 +42,6 @@ type t = {
         round's sends and waits overlap instead of paying the timeout
         serially per probe; the runner then layers retransmission on
         top by re-batching the failures. *)
-  order_free : config:Config.t -> bool;
-      (** Whether a round's sends may run concurrently in-process with
-          per-probe virtual timestamps (no order-dependent impairment
-          draws, no retransmission state). Consulted per round. *)
   close : unit -> unit;
       (** Release backend resources (sockets, service domains).
           Idempotent. *)

@@ -62,11 +62,14 @@ type t = private {
           behaviour; 1 suppresses suspicion accumulated from transient
           loss) *)
   domains : int;
-      (** degree of parallelism for the planning/probing pipeline, in
-          domains (default: the [SDNPROBE_DOMAINS] environment variable,
-          else 1). Every stage is deterministic in the domain count —
-          reports are byte-identical at any value (docs/PARALLEL.md) —
-          so this knob only trades wall-clock for cores. *)
+      (** degree of parallelism for the pooled planning stages
+          (per-region sharded builds and header assignment, including
+          a randomized plan's redraws), in domains (default: the
+          [SDNPROBE_DOMAINS] environment variable, else 1). Probe
+          rounds always run in plan order on the calling domain. Every
+          stage is deterministic in the domain count — reports are
+          byte-identical at any value (docs/PARALLEL.md) — so this knob
+          only trades wall-clock for cores. *)
   backend : backend_kind;
       (** probe-delivery backend the detection loop runs over (default
           [Emulator]; [Wire] is real-time, so reports are no longer

@@ -117,52 +117,22 @@ let engine ?(stop = stop_never) ?redraw ?region_of ?(name = "sdnprobe") ~config
     let probes_this_round = !active in
     let counters = { sent = 0; retries = 0; lost_attempts = 0; failed_probes = 0 } in
     backend.Backend.install_traps probes_this_round;
-    (* Send at the controller rate; each probe sees the clock at its own
-       send instant (intermittent faults depend on it). Probe [i] of the
-       serial schedule injects at [t0 + (i+1) * per_packet_us], so when
-       nothing else moves the clock mid-round — no retransmission state
-       machine and no order-dependent impairment draws — the sends are
-       independent events at known instants and can run concurrently,
-       each probe injecting at its own virtual timestamp. Outside that
-       gate the serial loop below is the semantics; backends with real
-       I/O supply [send_batch] instead and overlap the waits on the
-       wire. *)
+    (* Send at the controller rate, in plan order; each probe sees the
+       clock at its own send instant (intermittent faults depend on
+       it). Backends with real I/O supply [send_batch] instead and
+       overlap the waits on the wire. *)
     let results =
       match backend.Backend.send_batch with
       | Some send_batch ->
           send_round_batched ~config ~send_batch ~packets_sent ~counters
             probes_this_round
-      | None -> (
-          match Config.pool config with
-          | Some pool
-            when backend.Backend.order_free ~config
-                 && Sdn_parallel.Pool.domains pool > 1 ->
-              let t0 = Clock.now_us clock in
-              let arr = Array.of_list probes_this_round in
-              let res =
-                Sdn_parallel.Pool.map pool
-                  (fun (i, p) ->
-                    let now_us = t0 + ((i + 1) * per_packet_us) in
-                    (p, backend.Backend.attempt ~config ~now_us p))
-                  (Array.mapi (fun i p -> (i, p)) arr)
-              in
-              let n = Array.length arr in
-              Clock.advance_us clock (n * per_packet_us);
-              packets_sent := !packets_sent + n;
-              counters.sent <- counters.sent + n;
-              Array.iter
-                (fun (_, passed) ->
-                  if not passed then
-                    counters.lost_attempts <- counters.lost_attempts + 1)
-                res;
-              Array.to_list res
-          | _ ->
-              List.map
-                (fun p ->
-                  ( p,
-                    send_probe ~config ~backend ~clock ~per_packet_us ~packets_sent
-                      ~counters p ))
-                probes_this_round)
+      | None ->
+          List.map
+            (fun p ->
+              ( p,
+                send_probe ~config ~backend ~clock ~per_packet_us ~packets_sent
+                  ~counters p ))
+            probes_this_round
     in
     (* Flight time of the slowest probe, plus controller processing. *)
     let max_hops =
@@ -256,14 +226,17 @@ let engine ?(stop = stop_never) ?redraw ?region_of ?(name = "sdnprobe") ~config
   }
 
 let execute_on ?stop ?name ~config ~(backend : Backend.t) (plan : Plan.t) =
-  let pool = Config.pool config in
+  (* Only a redraw asks for the pool: a static plan at [domains > 1]
+     must not spawn idle workers that tax every minor collection. *)
   let name, redraw =
     match (name, plan.Plan.mode) with
     | Some n, Plan.Static -> (n, None)
     | None, Plan.Static -> ("sdnprobe", None)
     | name, Plan.Randomized rng ->
         ( Option.value ~default:"randomized-sdnprobe" name,
-          Some (fun ~cycle:_ -> (Plan.redraw ?pool plan rng).Plan.probes) )
+          Some
+            (fun ~cycle:_ ->
+              (Plan.redraw ?pool:(Config.pool config) plan rng).Plan.probes) )
   in
   engine ?stop ?redraw ~name ~config ~backend ~generation_s:plan.Plan.generation_s
     plan.Plan.probes

@@ -45,7 +45,7 @@ type t = {
          skipped on removal *)
   clk : Clock.t;
   counters : (int, int) Hashtbl.t; (* entry -> packets processed *)
-  counters_m : Mutex.t; (* injects may run concurrently (Runner) *)
+  counters_m : Mutex.t; (* the wire daemon steps on its own domain *)
   counters_own : Sdn_parallel.Ownership.region;
       (* SDNPROBE_POOL_CHECK witness that every counters access holds
          [counters_m] (the touch_sync sites below) *)
@@ -142,8 +142,8 @@ let reset_flow_counts t =
   Hashtbl.reset t.counters;
   Mutex.unlock t.counters_m
 
-(* Per-entry totals are sums, so concurrent injects of one round bump
-   them in any order to the same final counts. *)
+(* The wire daemon bumps counters from its own domain while the caller
+   may read them, hence the mutex. *)
 let bump_counter t entry =
   Mutex.lock t.counters_m;
   Sdn_parallel.Ownership.touch_sync t.counters_own;
@@ -159,19 +159,17 @@ type step =
   | Final of outcome
 
 (* One switch visit: jitter draw, then the table walk (goto chains stay
-   inside the visit). [record] observes each processed entry; the
-   returned jitter is this visit's draw alone. Both [inject] (the whole
-   path in-process) and [step] (the wire backend's per-datagram walk,
-   lib/wire) are wrappers, so the two backends cannot drift apart. *)
+   inside the visit, at the visit's budget). [record] observes each
+   processed entry; the returned jitter is this visit's draw alone. Both
+   [inject] (the whole path in-process) and [step] (the wire backend's
+   per-datagram walk, lib/wire) are wrappers, so the two backends cannot
+   drift apart. *)
 let visit t ~now_us ~record sw0 header0 budget0 =
-  let jitter = ref 0 in
-  let rec at_switch sw table header budget =
-    if budget <= 0 then Final (Lost Ttl_exceeded)
-    else
-      match Openflow.Flow_table.lookup (Network.table t.net ~switch:sw ~table) header with
-      | None -> Final (Lost (No_match sw))
-      | Some e -> process sw e header budget
-  and process sw (e : FE.t) header budget =
+  let rec at_switch sw table header =
+    match Openflow.Flow_table.lookup (Network.table t.net ~switch:sw ~table) header with
+    | None -> Final (Lost (No_match sw))
+    | Some e -> process sw e header
+  and process sw (e : FE.t) header =
     (* A churned-out entry is mid insert/delete: the packet hits the
        table while the rule is absent and is blackholed by the
        reconfiguration window (transient, impairment-side — distinct
@@ -179,8 +177,8 @@ let visit t ~now_us ~record sw0 header0 budget0 =
     match t.impairment with
     | Some imp when Impairment.rule_out imp ~entry:e.id ~now_us ->
         Final (Lost (Churn_miss sw))
-    | _ -> process_entry sw e header budget
-  and process_entry sw (e : FE.t) header budget =
+    | _ -> process_entry sw e header
+  and process_entry sw (e : FE.t) header =
     bump_counter t e.id;
     let fault =
       match Hashtbl.find_opt t.faults e.id with
@@ -217,7 +215,7 @@ let visit t ~now_us ~record sw0 header0 budget0 =
         | None -> (
             match act with
             | FE.Drop -> Final (Delivered { at_switch = sw; header = header' })
-            | FE.Goto_table tb -> goto sw tb header' budget
+            | FE.Goto_table tb -> at_switch sw tb header'
             | FE.Output port -> (
                 match Topology.peer (Network.topology t.net) ~sw ~port with
                 | None -> Final (Lost (Dead_port sw))
@@ -230,23 +228,15 @@ let visit t ~now_us ~record sw0 header0 budget0 =
                       ->
                         Final (Lost (Link_loss sw))
                     | _ -> Forward (next_sw, header')))))
-  and goto sw tb header budget =
-    match
-      Openflow.Flow_table.lookup (Network.table t.net ~switch:sw ~table:tb) header
-    with
-    | None -> Final (Lost (No_match sw))
-    | Some e -> process sw e header budget
   in
-  let step =
-    if budget0 <= 0 then Final (Lost Ttl_exceeded)
-    else begin
-      (match t.impairment with
-      | Some imp -> jitter := !jitter + Impairment.jitter_us imp ~switch:sw0 ~now_us
-      | None -> ());
-      at_switch sw0 0 header0 budget0
-    end
-  in
-  (step, !jitter)
+  if budget0 <= 0 then (Final (Lost Ttl_exceeded), 0)
+  else
+    let jitter =
+      match t.impairment with
+      | Some imp -> Impairment.jitter_us imp ~switch:sw0 ~now_us
+      | None -> 0
+    in
+    (at_switch sw0 0 header0, jitter)
 
 let inject ?now_us t ~at header =
   let now_us = match now_us with Some n -> n | None -> Clock.now_us t.clk in

@@ -100,9 +100,9 @@ val clear_traps : t -> unit
 val inject : ?now_us:int -> t -> at:int -> Hspace.Header.t -> result
 (** Hand a packet to switch [at] for processing and follow it to its
     fate. The emulator clock is read (not advanced); [?now_us]
-    substitutes a virtual send instant for the clock reading, letting
-    the probe runner inject a round's packets concurrently, each at the
-    time the serial schedule would have sent it. *)
+    substitutes a virtual send instant for the clock reading. The probe
+    runner never passes it: it advances the clock to each send instant
+    and injects a round's packets in plan order. *)
 
 type step_result =
   | Step_forward of { next : int; header : Hspace.Header.t; jitter_us : int }

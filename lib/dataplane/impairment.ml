@@ -60,15 +60,6 @@ let create s =
 
 let spec_of t = t.s
 
-(* Loss and jitter draw through the per-entity counters: their outcome
-   depends on how many draws for that entity happened {e before} —
-   i.e. on global send order. Flaps and churn are salted by the clock
-   window alone, so two probes asking about the same instant get the
-   same answer in any order. The probe runner only parallelizes a round
-   when this holds (stats are atomic sums, so they are order-blind
-   too). *)
-let order_independent t = t.s.loss_rate = 0. && t.s.jitter_max_us = 0
-
 (* Stream separation constants: keep loss, flap, churn and jitter draws
    statistically independent even for coinciding entity ids. *)
 let loss_stream = 0x1EAF

@@ -63,16 +63,6 @@ val create : spec -> t
 
 val spec_of : t -> spec
 
-val order_independent : t -> bool
-(** Whether every decision is independent of the order packets are
-    processed in: true iff [loss_rate = 0] and [jitter_max_us = 0].
-    Loss and jitter draw through per-entity counters (a retransmission
-    must be a fresh experiment), so their outcomes depend on how many
-    earlier draws the entity saw; flap and churn are salted by the
-    clock window alone. The probe runner parallelizes a round only when
-    this holds — stats, being atomic sums, are order-blind either
-    way. *)
-
 (** {2 Decisions} — queried by the emulator per packet event. *)
 
 val lose_on_link : t -> sw_a:int -> sw_b:int -> now_us:int -> bool

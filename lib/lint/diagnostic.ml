@@ -40,47 +40,18 @@ let pp fmt d =
   Format.fprintf fmt ": %s" d.message;
   if not (Hs.is_empty d.witness) then Format.fprintf fmt " [witness %a]" Hs.pp d.witness
 
-(* ------------------------------------------------------------------ *)
-(* JSON (hand-rolled: the toolchain carries no JSON library). *)
-
-let json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let to_json buf d =
-  Buffer.add_string buf "{\"check\":";
-  json_string buf d.check;
-  Buffer.add_string buf ",\"severity\":";
-  json_string buf (severity_to_string d.severity);
-  (match d.switch with
-  | Some sw -> Buffer.add_string buf (Printf.sprintf ",\"switch\":%d" sw)
-  | None -> ());
-  (match d.table with
-  | Some tb -> Buffer.add_string buf (Printf.sprintf ",\"table\":%d" tb)
-  | None -> ());
-  Buffer.add_string buf ",\"entries\":[";
-  List.iteri
-    (fun i id ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int id))
-    d.entries;
-  Buffer.add_string buf "],\"witness\":[";
-  List.iteri
-    (fun i cube ->
-      if i > 0 then Buffer.add_char buf ',';
-      json_string buf (Hspace.Cube.to_string cube))
-    (Hs.cubes d.witness);
-  Buffer.add_string buf "],\"message\":";
-  json_string buf d.message;
-  Buffer.add_char buf '}'
+let to_json d =
+  let module J = Sdn_util.Json in
+  let opt_int key = function Some n -> [ (key, J.Int n) ] | None -> [] in
+  J.Obj
+    ([ ("check", J.Str d.check); ("severity", J.Str (severity_to_string d.severity)) ]
+    @ opt_int "switch" d.switch
+    @ opt_int "table" d.table
+    @ [
+        ("entries", J.List (List.map (fun id -> J.Int id) d.entries));
+        ( "witness",
+          J.List
+            (List.map (fun cube -> J.Str (Hspace.Cube.to_string cube)) (Hs.cubes d.witness))
+        );
+        ("message", J.Str d.message);
+      ])

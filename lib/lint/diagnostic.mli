@@ -45,8 +45,6 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** One line: [severity[check] location: message [witness ...]]. *)
 
-val to_json : Buffer.t -> t -> unit
-(** Append a JSON object (no trailing newline). *)
-
-val json_string : Buffer.t -> string -> unit
-(** Append an escaped JSON string literal (shared by report rendering). *)
+val to_json : t -> Sdn_util.Json.t
+(** One JSON object: [check], [severity], [switch] and [table] when
+    present, [entries], [witness] (cube strings) and [message]. *)

@@ -98,29 +98,19 @@ let pp_text fmt report =
     (count report D.Error) (count report D.Warning) (count report D.Info)
 
 let to_json report =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      D.to_json buf d)
-    (sorted report);
-  Buffer.add_string buf "],\"summary\":{";
-  Buffer.add_string buf
-    (Printf.sprintf "\"error\":%d,\"warning\":%d,\"info\":%d" (count report D.Error)
-       (count report D.Warning) (count report D.Info));
-  Buffer.add_string buf "},\"timings\":{";
-  List.iteri
-    (fun i (id, seconds) ->
-      if i > 0 then Buffer.add_char buf ',';
-      D.json_string buf id;
-      Buffer.add_string buf (Printf.sprintf ":%.6f" seconds))
-    report.timings;
-  Buffer.add_string buf "},\"skipped\":[";
-  List.iteri
-    (fun i id ->
-      if i > 0 then Buffer.add_char buf ',';
-      D.json_string buf id)
-    report.skipped;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let module J = Sdn_util.Json in
+  J.to_string
+    (J.Obj
+       [
+         ("diagnostics", J.List (List.map D.to_json (sorted report)));
+         ( "summary",
+           J.Obj
+             [
+               ("error", J.Int (count report D.Error));
+               ("warning", J.Int (count report D.Warning));
+               ("info", J.Int (count report D.Info));
+             ] );
+         ( "timings",
+           J.Obj (List.map (fun (id, seconds) -> (id, J.Float seconds)) report.timings) );
+         ("skipped", J.List (List.map (fun id -> J.Str id) report.skipped));
+       ])

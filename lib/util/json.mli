@@ -1,10 +1,10 @@
 (** Minimal JSON tree, printer and parser.
 
     The reproduction keeps its machine-readable output self-contained
-    (no third-party JSON dependency): the lint engine prints JSON by
-    hand, and the versioned {!Sdnprobe.Report} serialization both
-    prints and parses. This module is the shared value type for the
-    latter — a strict subset of RFC 8259 sufficient for our own output:
+    (no third-party JSON dependency): every report — lint, sdncheck,
+    the verifier, the bench — prints through this module, and the
+    versioned {!Sdnprobe.Report} serialization also parses with it.
+    It is a strict subset of RFC 8259 sufficient for our own output:
     UTF-8 is passed through opaquely, numbers are OCaml [int] or
     [float], and object keys are kept in order. *)
 

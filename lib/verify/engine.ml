@@ -427,17 +427,15 @@ let update t ~changed_tables =
     let d = Closure.tally (Hashtbl.find t.states k) in
     (d.Closure.cubes, d.Closure.iterations, d.Closure.pruned)
   in
-  let before = List.map snapshot keys in
+  let before = List.map (fun k -> (k, snapshot k)) keys in
   let outcomes =
     Metrics.Timing.time t.timing "repropagate" (fun () ->
         List.map
           (fun k -> Closure.update patch.Plumbing.plumbing patch (Hashtbl.find t.states k))
           keys)
   in
-  List.iteri
-    (fun i outcome ->
-      let k = List.nth keys i in
-      let c0, i0, p0 = List.nth before i in
+  List.iter2
+    (fun (k, (c0, i0, p0)) outcome ->
       let d = Closure.tally (Hashtbl.find t.states k) in
       Metrics.Counter.add c_cubes (d.Closure.cubes - c0);
       Metrics.Counter.add c_iters (d.Closure.iterations - i0);
@@ -449,7 +447,7 @@ let update t ~changed_tables =
       | `Recomputed ->
           t.updated <- t.updated + 1;
           Metrics.Counter.incr c_updates)
-    outcomes;
+    before outcomes;
   (* Invalidate blackhole facts the edit can actually have changed. A
      leak fold reads the entry's output space and the raw matches of
      its next hop's table 0, so a cached fact goes stale only when the

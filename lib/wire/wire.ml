@@ -320,7 +320,6 @@ let backend t =
     remove_traps = remove_traps t;
     attempt = (fun ~config ?now_us p -> attempt t ~config ?now_us p);
     send_batch = Some (fun ~config probes -> send_batch t ~config probes);
-    order_free = (fun ~config:_ -> false);
     close = (fun () -> close t);
   }
 

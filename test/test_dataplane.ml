@@ -142,6 +142,74 @@ let test_ttl_loop () =
   | Emu.Lost Emu.Ttl_exceeded -> ()
   | _ -> Alcotest.fail "expected TTL loss"
 
+(* A goto chain inside one visit: sw0's table-0 entry sets the first
+   bit and goes to table 1, whose entry forwards to sw1. *)
+let goto_net () =
+  let topo = Openflow.Topology.create ~n_switches:2 in
+  Openflow.Topology.add_link topo ~sw_a:0 ~port_a:1 ~sw_b:1 ~port_b:1;
+  let net = Openflow.Network.create ~header_len:4 ~tables_per_switch:2 topo in
+  let add ~switch ?table ?set_field match_ action =
+    Openflow.Network.add_entry net ~switch ?table ~priority:1
+      ~match_:(Cube.of_string match_)
+      ?set_field:(Option.map Cube.of_string set_field)
+      action
+  in
+  let e0 = add ~switch:0 ~set_field:"1xxx" "0xxx" (FE.Goto_table 1) in
+  let e1 = add ~switch:0 ~table:1 "11xx" (FE.Output 1) in
+  let e2 = add ~switch:1 "1xxx" FE.Drop in
+  (net, e0, e1, e2)
+
+(* [inject]'s outcome rebuilt from per-visit [step]s, as the wire
+   daemon drives them. *)
+let rec step_outcome emu ~at ~ttl header =
+  match Emu.step emu ~at ~ttl header with
+  | Emu.Step_forward { next; header; _ } -> step_outcome emu ~at:next ~ttl:(ttl - 1) header
+  | Emu.Step_final { outcome; _ } -> outcome
+
+let outcome_to_string = function
+  | Emu.Returned { probe; at_switch; header } ->
+      Printf.sprintf "returned %d at %d %s" probe at_switch (Header.to_string header)
+  | Emu.Delivered { at_switch; header } ->
+      Printf.sprintf "delivered at %d %s" at_switch (Header.to_string header)
+  | Emu.Lost (Emu.No_match sw) -> Printf.sprintf "no match at %d" sw
+  | Emu.Lost _ -> "lost"
+
+let test_goto_chain () =
+  let net, e0, e1, e2 = goto_net () in
+  let emu = Emu.create net in
+  let same_as_step header =
+    Alcotest.(check string)
+      ("step = inject on " ^ header)
+      (outcome_to_string (Emu.inject emu ~at:0 (h header)).Emu.outcome)
+      (outcome_to_string (step_outcome emu ~at:0 ~ttl:Emu.ttl (h header)))
+  in
+  (* 0110 becomes 1110 in table 0, so table 1's 11xx matches it. *)
+  let r = Emu.inject emu ~at:0 (h "0110") in
+  (match r.Emu.outcome with
+  | Emu.Delivered { at_switch; header } ->
+      check_int "delivered at 1" 1 at_switch;
+      check_bool "rewritten header" true (Header.equal header (h "1110"))
+  | _ -> Alcotest.fail "expected delivery through the goto chain");
+  check_bool "trace rules" true
+    (List.map (fun hop -> hop.Emu.entry) r.Emu.trace = [ e0.FE.id; e1.FE.id; e2.FE.id ]);
+  check_bool "table-1 hop sees the rewrite" true
+    (Header.equal (List.nth r.Emu.trace 1).Emu.header_out (h "1110"));
+  same_as_step "0110";
+  (* 0010 becomes 1010, which table 1 does not match. *)
+  (match (Emu.inject emu ~at:0 (h "0010")).Emu.outcome with
+  | Emu.Lost (Emu.No_match 0) -> ()
+  | _ -> Alcotest.fail "expected a table-1 miss at switch 0");
+  same_as_step "0010";
+  (* A trap on the table-1 entry returns the probe from inside the chain. *)
+  Emu.install_trap emu ~probe:7 ~switch:0 ~rule:e1.FE.id ~header:(h "1110");
+  (match (Emu.inject emu ~at:0 (h "0110")).Emu.outcome with
+  | Emu.Returned { probe; at_switch; header } ->
+      check_int "probe id" 7 probe;
+      check_int "at switch 0" 0 at_switch;
+      check_bool "trapped header" true (Header.equal header (h "1110"))
+  | _ -> Alcotest.fail "expected the table-1 trap to return the probe");
+  same_as_step "0110"
+
 (* ------------------------------------------------------------------ *)
 (* Traps *)
 
@@ -428,6 +496,7 @@ let () =
           Alcotest.test_case "no match" `Quick test_forwarding_no_match;
           Alcotest.test_case "figure3" `Quick test_forwarding_figure3;
           Alcotest.test_case "ttl loop" `Quick test_ttl_loop;
+          Alcotest.test_case "goto chain" `Quick test_goto_chain;
         ] );
       ( "traps",
         [

@@ -309,6 +309,46 @@ let test_json_shape () =
          find 0))
     [ "diagnostics"; "summary"; "timings"; "skipped"; "error"; "warning"; "info" ]
 
+(* The report JSON parses with the shared reader and carries each
+   diagnostic's fields back: the blackhole of [test_blackhole]. *)
+let test_json_roundtrip () =
+  let module J = Sdn_util.Json in
+  let topo = Topology.create ~n_switches:2 in
+  Topology.add_link topo ~sw_a:0 ~port_a:1 ~sw_b:1 ~port_b:1;
+  let net = Network.create ~header_len:4 topo in
+  let fwd = add net ~switch:0 ~priority:1 ~match_:"1xxx" (FE.Output 1) in
+  let _ = add net ~switch:1 ~priority:1 ~match_:"11xx" FE.Drop in
+  let report = Engine.run net in
+  let json =
+    match J.of_string (Engine.to_json report) with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "lint JSON does not parse: %s" msg
+  in
+  let diagnostics = Option.value ~default:[] (J.obj_list "diagnostics" json) in
+  check_int "every diagnostic" (List.length report.Engine.diagnostics)
+    (List.length diagnostics);
+  match
+    List.filter (fun d -> J.obj_str "check" d = Some "L002-blackhole") diagnostics
+  with
+  | [ d ] ->
+      check_bool "severity" true (J.obj_str "severity" d = Some "warning");
+      check_bool "switch" true (J.obj_int "switch" d = Some 1);
+      check_bool "entries" true
+        (Option.map (List.filter_map J.to_int) (J.obj_list "entries" d)
+        = Some [ fwd.FE.id ]);
+      check_bool "witness" true
+        (Option.map (List.filter_map J.to_str) (J.obj_list "witness" d)
+        = Some [ "10xx" ]);
+      check_bool "warning count" true
+        (Option.bind (J.member "summary" json) (J.obj_int "warning") = Some 1);
+      check_bool "timings per pass" true
+        (match J.member "timings" json with
+        | Some (J.Obj ts) ->
+            List.length ts = List.length report.Engine.timings
+            && List.for_all (fun (_, v) -> J.to_float v <> None) ts
+        | _ -> false)
+  | ds -> Alcotest.failf "expected one blackhole in the JSON, got %d" (List.length ds)
+
 let test_sorted_severity_order () =
   let net = line3 ~header_len:4 in
   (* Blackhole (warning) plus a shadowed rule (error): sorted puts the
@@ -402,6 +442,7 @@ let () =
           Alcotest.test_case "pass selection" `Quick test_pass_selection;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "json shape" `Quick test_json_shape;
+          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "sorted order" `Quick test_sorted_severity_order;
         ] );
       ( "scale",

@@ -200,12 +200,11 @@ let scenario ~domains ~switches ~seed ~kind ~fraction ~randomized ~max_rounds ~i
     () =
   let net = make_net ~switches ~seed in
   let emu = Emu.create net in
-  (* Flaps + churn are clock-window salted (order-independent), so the
-     runner's parallel round stays engaged with this impairment on —
-     the property then covers parallel sends under a noisy data plane.
-     The order-dependent draws (loss, jitter) are covered by
-     [test_cross_domain_identity_lossy] below, where the runner gate
-     falls back to the serial loop but planning stays parallel. *)
+  (* Flaps + churn are clock-window salted: the property covers a
+     noisy data plane under pooled planning. Probe rounds send in plan
+     order on the calling domain at every domain count; the draws that
+     depend on that order (loss, jitter) are covered by
+     [test_cross_domain_identity_lossy] below. *)
   if impair then
     Emu.set_impairment emu
       (Impairment.create
@@ -242,9 +241,9 @@ let test_cross_domain_identity =
          let p1, r1 = at 1 and p2, r2 = at 2 and p4, r4 = at 4 in
          p1 = p2 && p2 = p4 && r1 = r2 && r2 = r4))
 
-(* Order-dependent impairment (per-link loss): the runner's parallel
-   gate must refuse the concurrent round and reproduce the serial
-   semantics exactly, while planning still runs on the pool. *)
+(* Order-dependent impairment (per-link loss) with retransmissions:
+   the report is the 1-domain one exactly, while planning runs on the
+   pool. *)
 let test_cross_domain_identity_lossy () =
   let at domains =
     let net = make_net ~switches:16 ~seed:1 in
@@ -266,8 +265,8 @@ let test_cross_domain_identity_lossy () =
   check_str "lossy plan identical" p1 p4;
   check_str "lossy report identical" r1 r4
 
-(* The PR2/PR3 golden digests, re-pinned with the whole pipeline (plan
-   generation and probing rounds) running on 4 domains. *)
+(* The PR2/PR3 golden digests, re-pinned with the whole pipeline at 4
+   domains: pooled plan generation, probe rounds in plan order. *)
 let golden ~switches ~seed ~kind ~fraction ~randomized ~max_rounds expect () =
   let _, r =
     scenario ~domains:4 ~switches ~seed ~kind ~fraction ~randomized ~max_rounds

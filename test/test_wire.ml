@@ -132,9 +132,7 @@ let test_backend_shape () =
     (fun () ->
       let b = Wire.backend w in
       check_bool "real time" true b.Sdnprobe.Backend.real_time;
-      check_bool "batched sends" true (b.Sdnprobe.Backend.send_batch <> None);
-      check_bool "never order-free" false
-        (b.Sdnprobe.Backend.order_free ~config:Config.default))
+      check_bool "batched sends" true (b.Sdnprobe.Backend.send_batch <> None))
 
 let () =
   Alcotest.run "wire"
