@@ -1,8 +1,15 @@
 type t = { len : int; cubes : Cube.t list }
 
-(* Drop cubes subsumed by another cube in the list. Quadratic, but cube
-   lists stay small in practice (match fields and their complements).
-   Keeps first-insertion order (first_member and sample depend on it). *)
+(* Drop cubes subsumed by another cube in the list. Quadratic, and not
+   rare: a 50-switch plan plus a verifier check makes about 116k calls
+   over 1.1M cubes. Keeps first-insertion order (first_member and sample
+   depend on it).
+
+   Every [t]'s list is a fixed point of [subsume]: no duplicate, no
+   cube inside another, and a sublist of a fixed point is one too. So
+   [union] needs only the checks across its operands, and [diff_cube]
+   may return [t] or a sublist of it: each is exactly the list a full
+   [subsume] pass would make. *)
 let subsume cubes =
   let rec loop kept = function
     | [] -> List.rev kept
@@ -38,21 +45,30 @@ let mem header t = List.exists (fun c -> Cube.member ~header c) t.cubes
 
 let check a b name = if a.len <> b.len then invalid_arg (name ^ ": length mismatch")
 
+(* [subsume (a.cubes @ b.cubes)] with only the cross-operand checks:
+   a cube of [a] goes when a cube of [b] covers it, a cube of [b] when
+   a surviving cube of [a] does. An empty operand returns the other
+   one, shared. *)
 let union a b =
   check a b "Hs.union";
-  { len = a.len; cubes = subsume (a.cubes @ b.cubes) }
+  match (a.cubes, b.cubes) with
+  | [], _ -> b
+  | _, [] -> a
+  | cas, cbs ->
+      let kept_a = List.filter (fun c -> not (List.exists (Cube.subset c) cbs)) cas in
+      let kept_b = List.filter (fun d -> not (List.exists (Cube.subset d) kept_a)) cbs in
+      { len = a.len; cubes = kept_a @ kept_b }
 
 let inter_cube t c =
   { len = t.len; cubes = subsume (List.filter_map (fun d -> Cube.inter d c) t.cubes) }
 
 let inter a b =
   check a b "Hs.inter";
-  let pieces =
-    List.concat_map
-      (fun ca -> List.filter_map (fun cb -> Cube.inter ca cb) b.cubes)
-      a.cubes
-  in
-  { len = a.len; cubes = subsume pieces }
+  match (a.cubes, b.cubes) with
+  | [ ca ], [ cb ] -> { len = a.len; cubes = Option.to_list (Cube.inter ca cb) }
+  | cas, cbs ->
+      let pieces = List.concat_map (fun ca -> List.filter_map (Cube.inter ca) cbs) cas in
+      { len = a.len; cubes = subsume pieces }
 
 (* Emptiness of an intersection without building it: the edge scans of
    the rule-graph build only ask whether out ∩ in is inhabited, and
@@ -68,8 +84,22 @@ let inter_nonempty a b =
     (fun ca -> List.exists (fun cb -> not (Cube.disjoint ca cb)) b.cubes)
     a.cubes
 
+(* [c] misses every cube of the list / cuts no cube it meets in two. *)
+let rec misses c = function [] -> true | d :: rest -> Cube.disjoint d c && misses c rest
+
+let rec swallows c = function
+  | [] -> true
+  | d :: rest -> (Cube.disjoint d c || Cube.subset d c) && swallows c rest
+
+(* A match disjoint from the whole space (most of a leak fold's calls)
+   returns the space itself; one that only swallows whole cubes, the
+   sublist outside it. Either list is what [subsume] would make of the
+   pieces. *)
 let diff_cube t c =
-  { len = t.len; cubes = subsume (List.concat_map (fun d -> Cube.diff d c) t.cubes) }
+  if misses c t.cubes then t
+  else if swallows c t.cubes then
+    { t with cubes = List.filter (fun d -> not (Cube.subset d c)) t.cubes }
+  else { len = t.len; cubes = subsume (List.concat_map (fun d -> Cube.diff d c) t.cubes) }
 
 let diff a b =
   check a b "Hs.diff";
@@ -88,11 +118,23 @@ let inverse_set_field ~set t =
   then t
   else { len = t.len; cubes = subsume mapped }
 
+(* What the cubes of [b] leave of [ca]: only those meeting [ca] cut,
+   and the pieces stay pairwise disjoint, so no [subsume] is needed. *)
+let rec covered_by ca pieces bs =
+  match (pieces, bs) with
+  | [], _ -> true
+  | _, [] -> false
+  | _, cb :: rest ->
+      if Cube.disjoint ca cb then covered_by ca pieces rest
+      else covered_by ca (List.concat_map (fun p -> Cube.diff p cb) pieces) rest
+
 let is_subset a b =
   a == b
   || begin
        check a b "Hs.is_subset";
-       is_empty (diff a b)
+       List.for_all
+         (fun ca -> List.exists (Cube.subset ca) b.cubes || covered_by ca [ ca ] b.cubes)
+         a.cubes
      end
 
 let equal_sets a b = a == b || (is_subset a b && is_subset b a)

@@ -6,6 +6,14 @@
     lists may denote the same set — use {!is_subset} both ways or
     {!equal_sets} for semantic comparison).
 
+    {b Representation invariant.} Every value's cube list is a fixed
+    point of subsumption (dropping each cube another cube contains): it
+    holds no duplicate and no cube contained in another. Any sublist of
+    such a list is one too. {!union} and {!diff_cube} rely on this:
+    they skip the checks whose answer the invariant already gives, and
+    still return exactly the cube list a full subsumption pass over
+    their pieces would.
+
     All operations require cubes of matching bit-length. *)
 
 type t
@@ -35,8 +43,14 @@ val mem : Cube.t -> t -> bool
 (** [mem header hs]: membership of a {e concrete} header. *)
 
 val union : t -> t -> t
+(** The cubes of [a] not covered by a cube of [b], then the cubes of
+    [b] not covered by one of those: the list a subsumption pass over
+    [a]'s cubes followed by [b]'s leaves. An empty operand returns the
+    other one itself. *)
 
 val inter : t -> t -> t
+(** The subsumption-reduced pairwise intersections, in [a]-major
+    order. *)
 
 val inter_nonempty : t -> t -> bool
 (** [inter_nonempty a b] iff [inter a b] is non-empty, decided without
@@ -48,6 +62,9 @@ val diff : t -> t -> t
 val inter_cube : t -> Cube.t -> t
 
 val diff_cube : t -> Cube.t -> t
+(** The subsumption-reduced pieces of each cube minus [c]. When [c] is
+    disjoint from every cube, the result is [t] itself; when it only
+    swallows whole cubes, the sublist of the cubes outside it. *)
 
 val apply_set_field : set:Cube.t -> t -> t
 (** Image of the space under the paper's transfer function [T(·, set)]. *)
@@ -57,7 +74,10 @@ val inverse_set_field : set:Cube.t -> t -> t
     in the space. *)
 
 val is_subset : t -> t -> bool
-(** [is_subset a b] iff the set denoted by [a] is contained in [b]'s. *)
+(** [is_subset a b] iff the set denoted by [a] is contained in [b]'s.
+    A cube of [a] inside one cube of [b] is accepted at once; any other
+    is cut only by the cubes of [b] that meet it, and [diff a b] is
+    never built. *)
 
 val equal_sets : t -> t -> bool
 (** Semantic equality. *)

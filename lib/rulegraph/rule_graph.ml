@@ -238,7 +238,6 @@ let update old ~changed_tables =
   Array.iteri (fun i a -> if a then affected_new := i :: !affected_new) affected;
   let affected_new = !affected_new in
   let ancestors g seeds =
-    let tr = Digraph.transpose g in
     let mark = Array.make (Digraph.n_vertices g) false in
     let q = Queue.create () in
     List.iter
@@ -256,7 +255,7 @@ let update old ~changed_tables =
             mark.(p) <- true;
             Queue.add p q
           end)
-        (Digraph.succ tr v)
+        (Digraph.pred g v)
     done;
     mark
   in

@@ -185,23 +185,26 @@ let compute plumbing ~source ?(avoid = -1) () =
 
 (* Validity memoized by flow serial: provenance chains are shared by
    every flow they were extended into, so the total filter cost is one
-   check per live flow, not per (flow × depth). *)
-let flow_validator plumbing (patch : Plumbing.patch) =
-  let memo = Hashtbl.create 256 in
+   check per live flow, not per (flow × depth). Serials are the state's
+   dense creation ranks, so the memo is a byte per serial: '\000'
+   unknown, 'v' valid, 'x' invalid. *)
+let flow_validator plumbing (patch : Plumbing.patch) st =
+  let memo = Bytes.make st.serials '\000' in
   let entry_ok id =
     match Plumbing.vertex_of_entry plumbing id with
     | Some v -> not patch.affected.(v)
     | None -> false
   in
   let rec valid f =
-    match Hashtbl.find_opt memo f.serial with
-    | Some v -> v
-    | None ->
+    match Bytes.get memo f.serial with
+    | 'v' -> true
+    | 'x' -> false
+    | _ ->
         let v =
           entry_ok f.entry
           && (match f.parent with None -> true | Some g -> valid g)
         in
-        Hashtbl.add memo f.serial v;
+        Bytes.set memo f.serial (if v then 'v' else 'x');
         v
   in
   valid
@@ -210,8 +213,7 @@ let update plumbing (patch : Plumbing.patch) st =
   let len = Openflow.Network.header_len (Plumbing.network plumbing) in
   let n = Plumbing.n_vertices plumbing in
   let old_nodes = st.nodes in
-  let back = Array.make n (-1) in
-  Array.iteri (fun ov nv -> if nv >= 0 then back.(nv) <- ov) patch.remap;
+  let back = patch.back in
   (* Every prefix of a stored flow's chain is itself a stored flow
      (only stored flows are ever extended), so the state holds an
      invalid flow iff some affected vertex, or some deleted old vertex,
@@ -235,7 +237,7 @@ let update plumbing (patch : Plumbing.patch) st =
       Array.init n (fun nv ->
           if back.(nv) < 0 then fresh_node len else old_nodes.(back.(nv)))
   else begin
-    let flow_valid = flow_validator plumbing patch in
+    let flow_valid = flow_validator plumbing patch st in
     let kept_loops = List.filter flow_valid st.loop_acc in
     st.loop_acc <- kept_loops;
     st.nodes <-

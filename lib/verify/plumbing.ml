@@ -58,7 +58,7 @@ let build net =
    flow whose whole provenance chain avoids affected vertices is still
    a valid derivation; {!Closure.update} exploits exactly that. *)
 
-type patch = { plumbing : t; affected : bool array; remap : int array }
+type patch = { plumbing : t; affected : bool array; remap : int array; back : int array }
 
 let patch old ~changed_tables =
   let { Base.base; affected; remap } = Base.patch old.base ~changed_tables in
@@ -68,7 +68,7 @@ let patch old ~changed_tables =
     if affected.(u) || affected.(v) then hand_off base u v
     else Hashtbl.find old.labels (back.(u), back.(v))
   in
-  { plumbing = labeled base label; affected; remap }
+  { plumbing = labeled base label; affected; remap; back }
 
 (* ------------------------------------------------------------------ *)
 (* Local analyses shared with the lint passes. *)

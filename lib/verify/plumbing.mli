@@ -60,6 +60,9 @@ type patch = {
   remap : int array;
       (** old vertex index -> new vertex index, [-1] for deleted
           entries. *)
+  back : int array;
+      (** the inverse: new vertex index -> old vertex index, [-1] for
+          inserted entries *)
 }
 
 val patch : t -> changed_tables:(int * int) list -> patch

@@ -377,6 +377,141 @@ let prop_first_superset =
           Int.equal (Cube.first_superset packed q) (scan 0))
         (List.init 16 Fun.id))
 
+(* Representation properties: [union], [inter], [diff_cube] and
+   [is_subset] skip work the subsumption invariant makes redundant, and
+   must return exactly the cube list of their plain definitions, written
+   here with the public API. Operands come from [of_cubes] over 0–8
+   cubes that include duplicates (physical and structural) and cubes
+   narrowed or widened from earlier ones, at one chunk (12, 62 bits) and
+   at two (63 bits). *)
+let narrow rng c =
+  let c = ref c in
+  for k = 0 to Cube.length !c - 1 do
+    if Cube.get !c k = Cube.Any && Prng.int rng 4 = 0 then
+      c := Cube.set !c k (if Prng.bool rng then Cube.One else Cube.Zero)
+  done;
+  !c
+
+let widen rng c =
+  let c = ref c in
+  for k = 0 to Cube.length !c - 1 do
+    if Cube.get !c k <> Cube.Any && Prng.int rng 4 = 0 then c := Cube.set !c k Cube.Any
+  done;
+  !c
+
+(* A cube drawn fresh, or copied, narrowed or widened from [earlier]. *)
+let related rng ~wildcard_prob len earlier =
+  match (earlier, Prng.int rng 5) with
+  | [], _ | _, 0 -> Cube.random rng ~wildcard_prob len
+  | _, k -> (
+      let e = Prng.choose rng (Array.of_list earlier) in
+      match k with
+      | 1 -> e
+      | 2 -> Cube.of_string (Cube.to_string e)
+      | 3 -> narrow rng e
+      | _ -> widen rng e)
+
+let random_family rng ~wildcard_prob ?(from = []) len =
+  let rec grow acc n =
+    if n = 0 then List.rev acc
+    else grow (related rng ~wildcard_prob len (from @ acc) :: acc) (n - 1)
+  in
+  grow [] (Prng.int rng 9)
+
+let same_cubes a b = List.equal Cube.equal (Hs.cubes a) (Hs.cubes b)
+
+let arb_len_seed = QCheck.(pair (oneofl [ 12; 62; 63 ]) (int_bound 1_000_000))
+
+(* Two spaces over a shared family: [b]'s cubes are drawn from [a]'s. *)
+let operands (len, seed) =
+  let rng = Prng.create seed in
+  let wildcard_prob = Prng.choose rng [| 0.3; 0.8; 0.97 |] in
+  let ca = random_family rng ~wildcard_prob len in
+  let cb = random_family rng ~wildcard_prob ~from:ca len in
+  (rng, wildcard_prob, Hs.of_cubes len ca, Hs.of_cubes len cb)
+
+let prop_union_representation =
+  QCheck.Test.make ~name:"union = of_cubes of both lists" ~count:400 arb_len_seed
+    (fun ((len, _) as p) ->
+      let _, _, a, b = operands p in
+      same_cubes (Hs.union a b) (Hs.of_cubes len (Hs.cubes a @ Hs.cubes b))
+      && same_cubes (Hs.union b a) (Hs.of_cubes len (Hs.cubes b @ Hs.cubes a)))
+
+let prop_diff_cube_representation =
+  QCheck.Test.make ~name:"diff_cube = of_cubes of the pieces" ~count:400 arb_len_seed
+    (fun ((len, _) as p) ->
+      let rng, wildcard_prob, t, _ = operands p in
+      List.for_all
+        (fun _ ->
+          let c = related rng ~wildcard_prob len (Hs.cubes t) in
+          same_cubes (Hs.diff_cube t c)
+            (Hs.of_cubes len (List.concat_map (fun d -> Cube.diff d c) (Hs.cubes t))))
+        (List.init 8 Fun.id))
+
+let prop_inter_representation =
+  QCheck.Test.make ~name:"inter = of_cubes of the pairwise pieces" ~count:400 arb_len_seed
+    (fun ((len, _) as p) ->
+      let _, _, a, b = operands p in
+      let plain x y =
+        Hs.of_cubes len
+          (List.concat_map (fun cx -> List.filter_map (Cube.inter cx) (Hs.cubes y)) (Hs.cubes x))
+      in
+      same_cubes (Hs.inter a b) (plain a b)
+      (* One-cube operands take their own path. *)
+      && List.for_all
+           (fun ca ->
+             List.for_all
+               (fun cb ->
+                 let x = Hs.of_cube ca and y = Hs.of_cube cb in
+                 same_cubes (Hs.inter x y) (plain x y))
+               (Hs.cubes b))
+           (Hs.cubes a))
+
+(* A cover of [a]'s cubes: each kept, widened, split in two halves on a
+   wildcard bit (so no single cube covers it), narrowed or dropped,
+   plus fresh cubes. *)
+let cover rng ~wildcard_prob len a =
+  let split c =
+    match List.filter (fun k -> Cube.get c k = Cube.Any) (List.init len Fun.id) with
+    | [] -> [ c ]
+    | ks ->
+        let k = Prng.choose rng (Array.of_list ks) in
+        [ Cube.set c k Cube.Zero; widen rng (Cube.set c k Cube.One) ]
+  in
+  Hs.of_cubes len
+    (List.concat_map
+       (fun c ->
+         match Prng.int rng 6 with
+         | 0 -> [ c ]
+         | 1 -> [ widen rng c ]
+         | 2 | 3 -> split c
+         | 4 -> [ narrow rng c ]
+         | _ -> [])
+       (Hs.cubes a)
+    @ random_family rng ~wildcard_prob len)
+
+let all_headers =
+  Array.init 4096 (fun i ->
+      Cube.of_bits (Array.init len (fun k -> if (i lsr (len - 1 - k)) land 1 = 1 then Cube.One else Cube.Zero)))
+
+let prop_is_subset_brute_force =
+  QCheck.Test.make ~name:"is_subset = brute-force containment (12 bits)" ~count:300
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng, wildcard_prob, a, _ = operands (len, seed) in
+      let b = cover rng ~wildcard_prob len a in
+      let contained x y = Array.for_all (fun h -> (not (Hs.mem h x)) || Hs.mem h y) all_headers in
+      Bool.equal (Hs.is_subset a b) (contained a b)
+      && Bool.equal (Hs.is_subset b a) (contained b a))
+
+let prop_is_subset_long =
+  QCheck.Test.make ~name:"is_subset a b = (a − b = ∅) at 62 and 63 bits" ~count:300
+    QCheck.(pair (oneofl [ 62; 63 ]) (int_bound 1_000_000))
+    (fun ((len, _) as p) ->
+      let rng, wildcard_prob, a, _ = operands p in
+      let b = cover rng ~wildcard_prob len a in
+      Bool.equal (Hs.is_subset a b) (Hs.is_empty (Hs.diff a b))
+      && Bool.equal (Hs.is_subset b a) (Hs.is_empty (Hs.diff b a)))
+
 let test_pack_lengths () =
   let a = Cube.of_string "01xx" in
   check_int "empty family" (-1) (Cube.first_superset (Cube.pack [||]) a);
@@ -403,6 +538,11 @@ let props =
       prop_hs_size_additive;
       prop_reduce_canonical;
       prop_disjoint_cubes;
+      prop_union_representation;
+      prop_diff_cube_representation;
+      prop_inter_representation;
+      prop_is_subset_brute_force;
+      prop_is_subset_long;
     ]
 
 let () =

@@ -468,6 +468,19 @@ let test_incremental_verdicts_match_scratch () =
       incremental.Report.results scratch.Report.results
   done
 
+(* Golden reports: the canonical JSON (no timings) of a full default
+   check on the preset workloads. It carries [label_cubes],
+   [cubes_propagated] and [worklist_iterations], so a changed cube list
+   anywhere in the header-space algebra fails here even when every
+   verdict still holds. *)
+let golden_report n_switches expect () =
+  let _, net = Topogen.Preset.scale ~n_switches in
+  let report = Engine.check (Engine.create net) Engine.default_invariants in
+  check_string
+    (Printf.sprintf "report digest, %d switches" n_switches)
+    expect
+    (Digest.to_hex (Digest.string (Report.to_json report)))
+
 (* ------------------------------------------------------------------ *)
 (* L001/L002 delegation: pinned against the historical inline walk *)
 
@@ -636,6 +649,10 @@ let () =
           Alcotest.test_case "cache hits" `Quick test_cache_hits_on_disjoint_component;
           Alcotest.test_case "incremental verdicts" `Quick
             test_incremental_verdicts_match_scratch;
+          Alcotest.test_case "golden report s16" `Quick
+            (golden_report 16 "b60e73698c0e77ad7b628a13ed10e32a");
+          Alcotest.test_case "golden report s50" `Slow
+            (golden_report 50 "c4c36ea1d8f6f3e4b829d8cd6f3f0f64");
         ] );
       ( "witness",
         [
